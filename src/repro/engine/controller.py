@@ -175,6 +175,15 @@ class AdmissionController:
         return tuple(self._model.emitted)
 
     @property
+    def offered(self) -> int:
+        """Number of jobs offered so far (``len(jobs)`` without the copy)."""
+        return len(self._model.emitted)
+
+    def job(self, seq: int) -> Job:
+        """The *seq*-th offered job (``jobs[seq]`` without the copy)."""
+        return self._model.emitted[seq]
+
+    @property
     def decisions(self) -> list[Decision]:
         """Decisions in submission order (rebuilt from the trace)."""
         return [record.decision for record in self._model.recorder]

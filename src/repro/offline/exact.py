@@ -2,19 +2,28 @@
 
 Left-shift normalisation: every feasible schedule can be normalised so
 each job starts at ``max(release, completion of its machine predecessor)``
-without violating any deadline.  Normalised schedules are exactly the
-outcomes of *dispatch sequences* — repeatedly appending some job to some
-machine — so DFS over (job, machine-frontier) choices with memoisation on
-``(remaining jobs, sorted frontiers)`` enumerates the full solution space.
+without violating any deadline.  A left-shifted schedule can always be
+*dispatched in start order*: taking its jobs by non-decreasing start,
+each one starts at ``max(release, frontier)`` of its machine, because
+its machine predecessor started strictly earlier and is already placed.
+The DFS therefore only dispatches a job at a start no earlier than the
+previous start ``last``, and enumerates every left-shifted schedule once
+per order of equal starts instead of once per dispatch order.
 
 State-space reductions:
 
-* frontiers are kept as a sorted tuple (machines are identical);
-* only *distinct* frontier values are branched on;
-* jobs that can no longer meet their deadline from the smallest frontier
-  are dropped from the state (frontiers only grow along a branch);
-* branches are explored largest-job-first with a node-local upper-bound
-  cut (remaining feasible load cannot beat the best branch found so far).
+* job sets are int bitmasks; frontiers are a sorted tuple (machines are
+  identical) and only *distinct* frontier values are branched on;
+* a job is dead once ``max(release, min frontier, last) + p > d``
+  (frontiers and ``last`` only grow along a branch), found by one bisect
+  over the jobs' precomputed latest starts;
+* the memo key is ``(alive jobs, frontiers, last)`` with every frontier
+  below ``last`` replaced by one sentinel: such a machine only admits
+  jobs released at or after ``last``, started at their release, so its
+  exact frontier cannot matter.  A frontier *equal* to ``last`` still
+  admits earlier-released jobs at ``last`` and stays distinct;
+* branches are explored largest-job-first, and a branch is cut when its
+  job plus every job still alive after it cannot beat the incumbent.
 
 The solver is exponential by nature; :data:`EXACT_JOB_LIMIT` guards
 against accidental use on large instances.
@@ -22,13 +31,14 @@ against accidental use on large instances.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.model.instance import Instance
-from repro.model.job import Job
 from repro.model.machine import MachineState
 from repro.model.schedule import Assignment, Schedule
-from repro.utils.tolerances import TIME_EPS, fge
+from repro.utils.tolerances import TIME_EPS
 
 #: Hard cap on instance size for the exact solver.
 EXACT_JOB_LIMIT = 18
@@ -43,8 +53,8 @@ MAX_EXPLORED_STATES = 2_000_000
 class ExactSolverBudgetExceeded(RuntimeError):
     """The branch-and-bound exceeded its state budget (use opt_bracket)."""
 
-#: Frontier values are rounded to this many decimals for memo keys.
-_KEY_DECIMALS = 9
+#: Memo-key frontier of a machine that became free before ``last``.
+_IDLE = float("-inf")
 
 
 @dataclass
@@ -56,34 +66,81 @@ class ExactResult:
     explored_states: int
 
 
-def _round_key(x: float) -> float:
-    return round(x, _KEY_DECIMALS)
-
-
 class _Solver:
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
-        self.jobs: dict[int, Job] = {j.job_id: j for j in instance}
+        # Bit i is the i-th largest job, so bit order is branch order.
+        self.jobs = sorted(instance, key=lambda j: -j.processing)
+        n = len(self.jobs)
+        self.p = [j.processing for j in self.jobs]
+        self.r = [j.release for j in self.jobs]
+        self.d = [j.deadline + TIME_EPS for j in self.jobs]
+        latest = [d - p for d, p in zip(self.d, self.p)]
+        by_latest = sorted(range(n), key=latest.__getitem__)
+        self.latest = [latest[i] for i in by_latest]
+        # keep[k]: every job except the k with the earliest latest start.
+        self.keep = [(1 << n) - 1]
+        for i in by_latest:
+            self.keep.append(self.keep[-1] & ~(1 << i))
+        # Load of a job set as two table lookups (low and high half).
+        self.half = n // 2
+        self.lo = self._loads(self.p[: self.half])
+        self.hi = self._loads(self.p[self.half:])
         self.memo: dict[tuple, float] = {}
+        root = 0
+        for i in range(n):
+            if max(self.r[i], 0.0) + self.p[i] <= self.d[i]:
+                root |= 1 << i
+        self.root = (root, (0.0,) * instance.machines, 0.0)
 
-    # ------------------------------------------------------------------
-    def _alive(self, remaining: frozenset[int], min_frontier: float) -> frozenset[int]:
-        """Drop jobs that can never be scheduled from this state on."""
-        return frozenset(
-            jid
-            for jid in remaining
-            if fge(
-                self.jobs[jid].deadline,
-                max(self.jobs[jid].release, min_frontier) + self.jobs[jid].processing,
-            )
-        )
+    @staticmethod
+    def _loads(p: list[float]) -> list[float]:
+        table = [0.0]
+        for x in p:
+            table += [t + x for t in table]
+        return table
 
-    def best_additional(self, remaining: frozenset[int], frontiers: tuple[float, ...]) -> float:
+    def load(self, mask: int) -> float:
+        return self.lo[mask & ((1 << self.half) - 1)] + self.hi[mask >> self.half]
+
+    def branches(
+        self, alive: int, frontiers: tuple[float, ...], last: float
+    ) -> Iterator[tuple[int, float, float, int, tuple[float, ...]]]:
+        """Yield ``(job, frontier, start, child alive, child frontiers)``."""
+        p, r, d, latest, keep = self.p, self.r, self.d, self.latest, self.keep
+        for i in range(len(p)):
+            if not alive >> i & 1:
+                continue
+            rest = alive & ~(1 << i)
+            early = False
+            prev = None
+            for slot, f in enumerate(frontiers):
+                if f == prev:
+                    continue
+                prev = f
+                if f < r[i]:
+                    # Every frontier below the release starts the job at
+                    # its release and leaves the same canonical child.
+                    if early or r[i] < last:
+                        continue
+                    early, start = True, r[i]
+                else:
+                    start = f
+                end = start + p[i]
+                if end > d[i]:
+                    break
+                child = tuple(sorted(
+                    x if x >= start else _IDLE
+                    for x in frontiers[:slot] + (end,) + frontiers[slot + 1:]
+                ))
+                t = child[0] if child[0] > start else start
+                yield i, f, start, rest & keep[bisect_left(latest, t)], child
+
+    def best_additional(self, alive: int, frontiers: tuple[float, ...], last: float) -> float:
         """Maximum additional load schedulable from this state."""
-        remaining = self._alive(remaining, frontiers[0])
-        if not remaining:
+        if not alive:
             return 0.0
-        key = (remaining, frontiers)
+        key = (alive, frontiers, last)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
@@ -92,34 +149,17 @@ class _Solver:
                 f"exact solver exceeded {MAX_EXPLORED_STATES} memoised states; "
                 "use repro.offline.bracket.opt_bracket(force_bounds=True) instead"
             )
-
-        total_possible = sum(self.jobs[j].processing for j in remaining)
+        total_possible = self.load(alive) - TIME_EPS
         best = 0.0
-        # Largest-processing-first finds strong incumbents early.
-        for jid in sorted(remaining, key=lambda i: -self.jobs[i].processing):
-            job = self.jobs[jid]
-            if job.processing + total_possible - job.processing <= best + TIME_EPS:
-                # Even scheduling everything cannot beat the incumbent.
-                break
-            tried: set[float] = set()
-            for slot, frontier in enumerate(frontiers):
-                if frontier in tried:
-                    continue
-                tried.add(frontier)
-                start = max(job.release, frontier)
-                if not fge(job.deadline, start + job.processing):
-                    continue
-                new_frontiers = list(frontiers)
-                new_frontiers[slot] = _round_key(start + job.processing)
-                new_frontiers.sort()
-                value = job.processing + self.best_additional(
-                    remaining - {jid}, tuple(new_frontiers)
-                )
-                if value > best + TIME_EPS:
-                    best = value
-                if best >= total_possible - TIME_EPS:
-                    self.memo[key] = best
-                    return best
+        for i, _, start, child_alive, child in self.branches(alive, frontiers, last):
+            p = self.p[i]
+            if p + self.load(child_alive) <= best + TIME_EPS:
+                continue
+            value = p + self.best_additional(child_alive, child, start)
+            if value > best + TIME_EPS:
+                best = value
+                if best >= total_possible:
+                    break
         self.memo[key] = best
         return best
 
@@ -128,52 +168,25 @@ class _Solver:
         """Rebuild one optimal schedule by walking the memoised values."""
         machines = [MachineState(i) for i in range(self.instance.machines)]
         schedule = Schedule(instance=self.instance, algorithm="offline-exact")
-        remaining = frozenset(self.jobs)
-        frontiers = tuple([0.0] * self.instance.machines)
-        # Track which physical machine owns each frontier slot.
-        slot_machines = list(range(self.instance.machines))
-
-        while True:
-            remaining = self._alive(remaining, frontiers[0])
-            if not remaining:
-                break
-            target = self.best_additional(remaining, frontiers)
-            if target <= TIME_EPS:
-                break
-            moved = False
-            for jid in sorted(remaining, key=lambda i: -self.jobs[i].processing):
-                job = self.jobs[jid]
-                tried: set[float] = set()
-                for slot, frontier in enumerate(frontiers):
-                    if frontier in tried:
-                        continue
-                    tried.add(frontier)
-                    start = max(job.release, frontier)
-                    if not fge(job.deadline, start + job.processing):
-                        continue
-                    new_frontiers = list(frontiers)
-                    new_frontiers[slot] = _round_key(start + job.processing)
-                    order = sorted(range(len(new_frontiers)), key=lambda i: new_frontiers[i])
-                    candidate = job.processing + self.best_additional(
-                        remaining - {jid},
-                        tuple(new_frontiers[i] for i in order),
-                    )
-                    if abs(candidate - target) <= 1e-7:
-                        machine_idx = slot_machines[slot]
-                        machines[machine_idx].commit(job, start)
-                        schedule.assignments[jid] = Assignment(jid, machine_idx, start)
-                        remaining = remaining - {jid}
-                        slot_machines = [slot_machines[i] for i in order]
-                        frontiers = tuple(new_frontiers[i] for i in order)
-                        moved = True
-                        break
-                if moved:
+        alive, frontiers, last = self.root
+        ends = [0.0] * self.instance.machines
+        while (target := self.best_additional(alive, frontiers, last)) > TIME_EPS:
+            for i, f, start, child_alive, child in self.branches(alive, frontiers, last):
+                value = self.p[i] + self.best_additional(child_alive, child, start)
+                if abs(value - target) <= 1e-7:
                     break
-            if not moved:  # pragma: no cover - defensive
+            else:  # pragma: no cover - defensive
                 raise RuntimeError("reconstruction failed to follow the memo")
-        for jid in self.jobs:
-            if jid not in schedule.assignments:
-                schedule.rejected.add(jid)
+            # Any physical machine whose canonical frontier is f will do.
+            k = next(k for k, e in enumerate(ends) if (e if e >= last else _IDLE) == f)
+            job = self.jobs[i]
+            machines[k].commit(job, start)
+            schedule.assignments[job.job_id] = Assignment(job.job_id, k, start)
+            ends[k] = start + job.processing
+            alive, frontiers, last = child_alive, child, start
+        for job in self.jobs:
+            if job.job_id not in schedule.assignments:
+                schedule.rejected.add(job.job_id)
         schedule.audit()
         return schedule
 
@@ -190,9 +203,7 @@ def exact_optimum(instance: Instance, job_limit: int = EXACT_JOB_LIMIT) -> Exact
             "(use opt_bracket for bounds instead)"
         )
     solver = _Solver(instance)
-    value = solver.best_additional(
-        frozenset(solver.jobs), tuple([0.0] * instance.machines)
-    )
+    value = solver.best_additional(*solver.root)
     schedule = solver.reconstruct()
     if abs(schedule.accepted_load - value) > 1e-6:  # pragma: no cover - defensive
         raise RuntimeError(

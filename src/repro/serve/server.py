@@ -230,12 +230,12 @@ class AdmissionServer:
             )
         except ProtocolError as exc:
             return error_message(str(exc), tag)
-        seq = len(session.jobs)
+        seq = session.offered
         try:
             decision = session.offer(job)
         except SimulationError as exc:
             return error_message(str(exc), tag)
-        stamped = session.jobs[seq]
+        stamped = session.job(seq)
         if self.journal is not None:
             self.journal.record_decision(seq, stamped, decision)
         message = decision_message(seq, stamped, decision, session.loads(), tag)

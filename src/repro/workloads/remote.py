@@ -417,6 +417,8 @@ class _Host:
     cells_done: int = 0
     #: the synthesized local-fallback host is exempt from network chaos.
     chaos_exempt: bool = False
+    #: outcome of the host's last settled launch handshake.
+    handshake: str = "pending"
 
 
 @dataclass
@@ -668,14 +670,22 @@ def _execute_remote(
             abort_remaining("host: every host quarantined, no fallback left")
 
     def host_fault(host: _Host, chan: _Channel, detail: str) -> None:
-        """Charge the host; respawn the channel or quarantine the domain."""
+        """Charge the host; respawn the channel or quarantine the domain.
+
+        Once the queue has drained nothing is relaunched: the channel is
+        dropped, so settling the last handshakes always terminates.
+        """
         host.failures += 1
         host.history = host.history + (detail,)
+        if chan.state == "hello":
+            host.handshake = detail
         release_channel(chan, detail)
         _kill_process(chan.process)
         chan.process = None
         if host.failures > host_max_failures:
             quarantine_host(host, detail)
+        elif queue.done:
+            channels.pop(chan.worker_id, None)
         else:
             spawn_channel(chan)
 
@@ -800,9 +810,11 @@ def _execute_remote(
         if mismatch is not None:
             chan.send("reject", detail=mismatch)
             chan.host.failures += 1
+            chan.host.handshake = "refused"
             quarantine_host(chan.host, f"handshake: fingerprint mismatch ({mismatch})")
             return
         chan.state = "active"
+        chan.host.handshake = "verified"
         chan.send(
             "init",
             payload=init_payload,
@@ -832,6 +844,7 @@ def _execute_remote(
                         "cells": host.cells_done,
                         "failures": host.failures,
                         "quarantined": host.quarantined,
+                        "handshake": host.handshake,
                     }
                     for host in hosts_state
                 ],
@@ -849,6 +862,45 @@ def _execute_remote(
             }
         )
 
+    def drain_inbox(now: float) -> bool:
+        """Handle every queued line and EOF marker; whether any arrived."""
+        progressed = False
+        while True:
+            try:
+                worker_id, generation, raw = inbox.get_nowait()
+            except queue_mod.Empty:
+                return progressed
+            chan = channels.get(worker_id)
+            if chan is None or generation != chan.generation:
+                continue  # stale line from a killed process generation
+            progressed = True
+            if raw is None:
+                # Channel EOF: the worker process died — a host fault.
+                detail = (
+                    "handshake: worker exited before hello"
+                    if chan.state == "hello"
+                    else "crash: worker channel closed (host died?)"
+                )
+                host_fault(chan.host, chan, detail)
+                continue
+            if chan.state == "hello":
+                handle_hello(chan, raw)
+                continue
+            try:
+                messages = chan.link.receive(raw, now)
+            except RemoteProtocolError as exc:
+                host_fault(chan.host, chan, f"protocol: {exc}")
+                continue
+            for message in messages:
+                handle_message(chan, message)
+
+    def handshake_expired(chan: _Channel, now: float) -> bool:
+        """Handshake deadline: a host that cannot say hello in time."""
+        if chan.state == "hello" and now >= chan.hello_deadline:
+            host_fault(chan.host, chan, "handshake: timed out")
+            return True
+        return False
+
     def kill_all() -> None:
         for chan in channels.values():
             _kill_process(chan.process)
@@ -859,38 +911,7 @@ def _execute_remote(
 
     try:
         while not queue.done:
-            now = time.monotonic()
-            progressed = False
-
-            # Drain the inbox (reader threads push lines + EOF markers).
-            while True:
-                try:
-                    worker_id, generation, raw = inbox.get_nowait()
-                except queue_mod.Empty:
-                    break
-                chan = channels.get(worker_id)
-                if chan is None or generation != chan.generation:
-                    continue  # stale line from a killed process generation
-                progressed = True
-                if raw is None:
-                    # Channel EOF: the worker process died — a host fault.
-                    detail = (
-                        "handshake: worker exited before hello"
-                        if chan.state == "hello"
-                        else "crash: worker channel closed (host died?)"
-                    )
-                    host_fault(chan.host, chan, detail)
-                    continue
-                if chan.state == "hello":
-                    handle_hello(chan, raw)
-                    continue
-                try:
-                    messages = chan.link.receive(raw, now)
-                except RemoteProtocolError as exc:
-                    host_fault(chan.host, chan, f"protocol: {exc}")
-                    continue
-                for message in messages:
-                    handle_message(chan, message)
+            progressed = drain_inbox(time.monotonic())
 
             now = time.monotonic()
             for chan in list(channels.values()):
@@ -901,9 +922,7 @@ def _execute_remote(
                     for message in chan.link.flush(now):
                         progressed = True
                         handle_message(chan, message)
-                # Handshake deadline: a host that cannot say hello in time.
-                if chan.state == "hello" and now >= chan.hello_deadline:
-                    host_fault(chan.host, chan, "handshake: timed out")
+                if handshake_expired(chan, now):
                     progressed = True
                     continue
                 # Grant work to idle channels.
@@ -967,7 +986,20 @@ def _execute_remote(
             if not progressed:
                 time.sleep(_POLL_INTERVAL)
 
-        # Drained: stop idle workers gracefully, cut stragglers loose.
+        # Drained.  Settle every launched handshake (verified, refused or
+        # timed out) before sealing, so the host outcomes in the manifest
+        # do not depend on whether the queue drained before a hello
+        # arrived.
+        while any(c.live and c.state == "hello" for c in channels.values()):
+            progressed = drain_inbox(time.monotonic())
+            now = time.monotonic()
+            for chan in list(channels.values()):
+                if chan.live and handshake_expired(chan, now):
+                    progressed = True
+            if not progressed:
+                time.sleep(_POLL_INTERVAL)
+
+        # Stop idle workers gracefully, cut stragglers loose.
         for chan in channels.values():
             if chan.process is not None and chan.idle:
                 chan.send("stop")

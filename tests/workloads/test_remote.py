@@ -389,6 +389,28 @@ class TestRemoteExecution:
         assert not result.manifest.degraded_to_local
         assert "host(s) quarantined" in result.manifest.summary()
 
+    def test_every_launched_handshake_settles_before_seal(self, tmp_path):
+        """The stats trailer records each host's handshake outcome, even
+        when the queue drains before the divergent host's hello."""
+        path = tmp_path / "remote.jsonl"
+        _remote(
+            _spec(repetitions=1),
+            _hosts(
+                HostSpec(name="good"),
+                HostSpec(name="divergent", fingerprint="0" * 16),
+            ),
+            journal=str(path),
+        )
+        stats = [
+            json.loads(line)
+            for line in path.read_text().splitlines()
+            if json.loads(line).get("kind") == "stats"
+        ][-1]
+        assert {h["name"]: h["handshake"] for h in stats["hosts"]} == {
+            "good": "verified",
+            "divergent": "refused",
+        }
+
     def test_all_hosts_refused_degrades_to_local_fallback(self):
         spec = _spec(repetitions=1)
         result = _remote(
