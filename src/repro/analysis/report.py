@@ -268,8 +268,9 @@ def _section_resilience() -> str:
         "## Fault-tolerant sweeps (chaos-injected)\n\n"
         + format_markdown(rows)
         + "\nDeterministically injected crashes/errors/corruption; the resilient\n"
-        + "runner retries transient faults in fresh workers, quarantines poison\n"
-        + "cells into a structured manifest, and keeps every completed row.\n"
+        + "runner retries transient faults, respawns crashed workers,\n"
+        + "quarantines poison cells into a structured manifest, and keeps\n"
+        + "every completed row.\n"
     )
 
 

@@ -874,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--retries", type=int, default=2,
-        help="extra attempts per failed cell, each in a fresh worker (default 2)",
+        help="extra attempts per failed cell (default 2)",
     )
     p.add_argument(
         "--backoff", type=float, default=0.25,

@@ -26,7 +26,7 @@ Robustness contract:
 
 * **writes are atomic** — entries are written to a temp file in the
   shard directory and ``os.replace``'d into place, so concurrent writers
-  (e.g. the resilient runner's fresh worker processes) can race on the
+  (e.g. the resilient runner's worker slots) can race on the
   same key and the loser merely overwrites identical bytes;
 * **a bad entry is a miss, never a crash** — truncated, garbled,
   wrong-schema or non-finite entries are dropped (best-effort unlink),
@@ -218,7 +218,7 @@ class BracketCache:
     ``cache_dir`` defaults to :func:`default_cache_dir`; pass
     :data:`MEMORY_ONLY` (``":memory:"``) to disable the disk tier.  The
     instance is picklable: only the configuration crosses process
-    boundaries — each fresh worker process starts with an empty LRU and
+    boundaries — a worker that unpickles it starts with an empty LRU and
     zeroed stats over the *shared* disk directory.
     """
 

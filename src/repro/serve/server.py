@@ -326,6 +326,10 @@ class AdmissionServer:
                     await writer.drain()
                     self.request_shutdown()
                     break
+        except (ConnectionResetError, BrokenPipeError):
+            # The client reset with replies still pending; every decision
+            # it was sent is already journaled, so just close quietly.
+            pass
         except asyncio.CancelledError:
             # Drain deadline expired on a still-open connection.  Absorb
             # the cancel and finish normally: every acknowledged decision

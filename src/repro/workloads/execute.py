@@ -70,7 +70,7 @@ class ExecutionPolicy:
     grids and interactive use).  Setting any multiprocess-only field —
     ``parallel``, ``workers``, ``timeout``, ``journal``, ``resume``,
     ``shards`` (> 1), ``chaos`` or ``interrupt_after`` — routes execution
-    through the fault-tolerant scheduler (fresh worker processes,
+    through the fault-tolerant scheduler (persistent worker slots,
     retries, quarantine, checkpoint journal).  ``retries``/``backoff``
     only apply on that path.
     """
@@ -82,7 +82,8 @@ class ExecutionPolicy:
     workers: int | None = None
     #: Per-cell wall-clock budget in seconds; hung workers are terminated.
     timeout: float | None = None
-    #: Extra attempts per failed cell, each in a fresh process.
+    #: Extra attempts per failed cell (a crashed or hung worker's slot is
+    #: respawned first).
     retries: int = 2
     #: Base retry delay in seconds, doubled per attempt.
     backoff: float = 0.25

@@ -8,10 +8,12 @@ all-or-nothing — one crashed or hung worker raised out of the pool and
 discarded every completed cell — this runner treats cell failure as a
 normal event:
 
-* each cell runs in a **fresh worker process** with an optional per-cell
-  **timeout** (hung workers are terminated, not waited on);
+* cells run in ``workers`` **persistent worker slots**, forked once per
+  sweep and fed leases over a pipe, with an optional per-cell
+  **timeout**; a slot whose worker crashes or hangs past its timeout is
+  terminated (not waited on) and respawned;
 * failed cells are **retried** with exponential backoff, up to
-  ``max_retries`` times, each retry in a brand-new process;
+  ``max_retries`` times;
 * cells that exhaust their budget are **quarantined** and reported in a
   structured :class:`FailureManifest` — the sweep still returns every
   completed row (graceful degradation) instead of throwing them away;
@@ -41,6 +43,7 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Any
 
 from repro.baselines.registry import run_algorithm
@@ -52,9 +55,6 @@ from repro.workloads.transport import decorrelated_delay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.testing.chaos import ChaosPlan
-
-#: How long the scheduler sleeps between reap polls (seconds).
-_POLL_INTERVAL = 0.005
 
 #: Grace period between SIGTERM and SIGKILL when reaping a worker.
 _KILL_GRACE = 0.5
@@ -420,73 +420,57 @@ def validate_cell_rows(
 
 
 # ---------------------------------------------------------------------------
-# worker process
+# worker slots
 # ---------------------------------------------------------------------------
 
 
-def _cell_worker(
+def _slot_worker(
     conn,
+    parent_end,
     spec: SweepSpec,
-    eps: float,
-    m: int,
-    rep: int,
     algorithm_kwargs: dict[str, dict[str, Any]],
     chaos: "ChaosPlan | None",
-    attempt: int,
     cache: BracketCache | None = None,
 ) -> None:
-    """Run one cell in a dedicated process; report over a pipe.
+    """One persistent worker slot: answer leases until the pipe closes.
 
-    Sends ``("ok", rows, cache_stats)`` or ``("error", detail, None)``.
-    A crash (or an injected one) sends nothing — the parent detects the
-    dead process.  ``cache_stats`` is the worker's bracket-cache counter
-    dict (the cache object itself ships as configuration only, so each
-    fresh process opens the shared disk tier with zeroed stats).
+    A lease is ``(cells, backend, attempt)``: a group lease of up to
+    ``_GROUP_CELLS`` cells on the sweep's backend, or one single-cell
+    attempt on the scalar backend (the only kind a chaos plan faults).
+    Each lease is answered with ``("ok", [rows, ...], cache_stats)`` — one
+    row list per cell, in order — or ``("error", detail, None)``.  A crash
+    (or an injected one) answers nothing: the parent sees the dead process
+    and respawns the slot.  The bracket-cache counters are zeroed at the
+    start of every lease, so ``cache_stats`` is that lease's delta and a
+    failed lease's lookups are never counted.
+
+    ``parent_end`` is the parent's end of this slot's pipe, inherited
+    through ``fork``; the worker closes its copy at once so that the
+    parent closing its own end (at the end of the sweep, or by dying) is
+    seen here as EOF.
     """
+    parent_end.close()
     try:
-        fault = None
-        if chaos is not None:
-            fault = chaos.fault_for(spec.cell_seed(eps, m, rep), attempt)
-            chaos.trigger(fault)  # may _exit, hang, or raise
-        rows = run_cell(spec, eps, m, rep, algorithm_kwargs, cache)
-        if fault == "corrupt":
-            rows = chaos.corrupt_rows(rows)
-        conn.send(("ok", rows, None if cache is None else cache.stats.as_dict()))
-    except BaseException as exc:  # noqa: BLE001 - must cross the process boundary
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}", None))
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
-    finally:
-        conn.close()
-
-
-def _group_worker(
-    conn,
-    spec: SweepSpec,
-    cells: list[tuple[float, int, int]],
-    algorithm_kwargs: dict[str, dict[str, Any]],
-    backend: str,
-    cache: BracketCache | None = None,
-) -> None:
-    """Run a *group lease* of cells in one process; report over a pipe.
-
-    Sends ``("ok", [rows, ...], cache_stats)`` with one row list per cell
-    in order.  Group leases exist so the batch backend amortises its
-    structure-of-arrays setup over many compatible cells per process; the
-    parent demotes a failed group to per-cell scalar attempts, so fault
-    isolation is unchanged.
-    """
-    try:
-        rows_per_cell = run_cells(spec, cells, algorithm_kwargs, cache, backend=backend)
-        conn.send(
-            ("ok", rows_per_cell, None if cache is None else cache.stats.as_dict())
-        )
-    except BaseException as exc:  # noqa: BLE001 - must cross the process boundary
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}", None))
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
+        while True:
+            cells, backend, attempt = conn.recv()
+            if cache is not None:
+                cache.stats = CacheStats()
+            try:
+                fault = None
+                if chaos is not None:
+                    fault = chaos.fault_for(spec.cell_seed(*cells[0]), attempt)
+                    chaos.trigger(fault)  # may _exit, hang, or raise
+                rows = run_cells(spec, cells, algorithm_kwargs, cache, backend=backend)
+                if fault == "corrupt":
+                    rows = [chaos.corrupt_rows(rows[0])]
+                stats = None if cache is None else cache.stats.as_dict()
+                conn.send(("ok", rows, stats))
+            except BaseException as exc:  # noqa: BLE001 - must cross the process boundary
+                conn.send(("error", f"{type(exc).__name__}: {exc}", None))
+                if not isinstance(exc, Exception):
+                    return  # interrupted or exiting: answer, then stop serving
+    except (EOFError, OSError, KeyboardInterrupt):  # sweep over or interrupted
+        pass
     finally:
         conn.close()
 
@@ -511,36 +495,36 @@ class _Attempt:
 
 
 @dataclass
-class _Active:
-    task: _Attempt
+class _Slot:
+    """Parent-side handle of one persistent worker process."""
+
     process: mp.process.BaseProcess
     conn: Any
-    deadline: float | None
+    #: the lease in flight, ``None`` while idle.
+    task: _Attempt | None = None
+    deadline: float | None = None
 
 
-def _reap(active: _Active) -> tuple[str, Any, Any] | None:
-    """Non-blocking check of a worker; returns an outcome or ``None``.
+def _collect(slot: _Slot, ready: list[Any], now: float) -> tuple[str, Any, Any] | None:
+    """Outcome of a busy slot after a wait; ``None`` while still running.
 
     Outcomes: ``("ok", rows, cache_stats)``, ``("error", detail, None)``,
-    ``("crash", detail, None)``, ``("timeout", detail, None)``.
+    ``("crash", detail, None)``, ``("timeout", detail, None)``.  A crash
+    or timeout leaves the slot's process reaped; the caller drops the slot.
     """
-    if active.conn.poll():
+    if slot.conn in ready:
         try:
-            status, payload, extra = active.conn.recv()
+            return slot.conn.recv()
         except (EOFError, OSError):
-            status, payload, extra = (
-                "crash",
-                "worker closed the pipe without a result",
-                None,
-            )
-        active.process.join()
-        return (status, payload, extra)
-    if not active.process.is_alive():
-        # Exited without sending: died before (or while) reporting.
-        code = active.process.exitcode
+            _terminate(slot.process)
+            return ("crash", "worker closed the pipe without a result", None)
+    if slot.process.sentinel in ready:
+        # Exited without answering: died before (or while) reporting.
+        _terminate(slot.process)
+        code = slot.process.exitcode
         return ("crash", f"worker process died with exit code {code}", None)
-    if active.deadline is not None and time.monotonic() >= active.deadline:
-        _terminate(active.process)
+    if slot.deadline is not None and now >= slot.deadline:
+        _terminate(slot.process)
         return ("timeout", "cell exceeded its timeout; worker terminated", None)
     return None
 
@@ -668,7 +652,7 @@ def run_sweep_resilient(
     interrupt_after: int | None = None,
     cache: BracketCache | None = None,
 ) -> ResilientSweepResult:
-    """Execute *spec* fault-tolerantly across fresh worker processes.
+    """Execute *spec* fault-tolerantly across persistent worker slots.
 
     .. deprecated:: 1.0
         Legacy entrypoint, kept as a thin shim; it will be removed in
@@ -728,9 +712,9 @@ def _execute_resilient(
         per-cell wall-clock budget in seconds; a cell that exceeds it is
         terminated and counted as a ``timeout`` failure (then retried).
     ``max_retries``
-        extra attempts per cell after the first, each in a fresh process,
-        delayed by a decorrelated-jittered exponential backoff bounded
-        by ``backoff * 2**(attempt-1)`` seconds (salted by the cell seed
+        extra attempts per cell after the first, each delayed by a
+        decorrelated-jittered exponential backoff bounded by
+        ``backoff * 2**(attempt-1)`` seconds (salted by the cell seed
         under ``spec.base_seed``, so concurrent retries desynchronise
         deterministically — see
         :func:`repro.workloads.transport.decorrelated_delay`).
@@ -747,10 +731,10 @@ def _execute_resilient(
         been journaled.
     ``cache``
         a :class:`repro.offline.cache.BracketCache` shared by every
-        worker.  Only its configuration is pickled to workers — each
-        fresh process opens the shared on-disk tier itself (atomic-rename
-        writes make concurrent writers safe) — and the per-worker
-        hit/miss counters are aggregated into ``result.cache_stats``.
+        worker.  Each worker slot reads and writes the shared on-disk
+        tier itself (atomic-rename writes make concurrent writers safe),
+        and the per-lease hit/miss counters of accepted leases are
+        aggregated into ``result.cache_stats``.
     ``cells``
         restrict execution to this subset of the grid (a shard produced
         by :class:`repro.workloads.sharding.ShardPlan`); ``None`` runs
@@ -811,10 +795,27 @@ def _execute_resilient(
         )
     workers = max_workers or min(len(pending) or 1, os.cpu_count() or 2)
     ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
-    active: list[_Active] = []
+    slots: list[_Slot] = []
+    spawned = 0
+    leases = 0
     new_cells = 0
     cache_totals = CacheStats() if cache is not None else None
     started = time.monotonic()
+
+    def spawn() -> _Slot:
+        nonlocal spawned
+        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        process = ctx.Process(
+            target=_slot_worker,
+            args=(child_conn, parent_conn, spec, algorithm_kwargs, chaos, cache),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        spawned += 1
+        slot = _Slot(process, parent_conn)
+        slots.append(slot)
+        return slot
 
     def partial_result() -> ResilientSweepResult:
         return _assemble(spec, cells, completed, manifest, journal, cache_totals)
@@ -828,6 +829,8 @@ def _execute_resilient(
                 "interrupted": interrupted,
                 "scheduler": "static",
                 "workers": workers,
+                "workers_spawned": spawned,
+                "leases": leases,
                 "cells_completed": manifest.cells_completed,
                 "cells_replayed": manifest.cells_replayed,
                 "recovered": manifest.recovered,
@@ -838,61 +841,61 @@ def _execute_resilient(
         )
 
     try:
-        while pending or active:
+        while pending or any(slot.task is not None for slot in slots):
             now = time.monotonic()
-            # Launch ready attempts into free slots.
-            while len(active) < workers and pending:
+            # Lease ready attempts to idle slots, forking a slot only when
+            # none is idle and the pool is below ``workers``.
+            while pending:
+                slot = next((s for s in slots if s.task is None), None)
+                if slot is None and len(slots) >= workers:
+                    break
                 launchable = next((t for t in pending if t.ready_at <= now), None)
                 if launchable is None:
                     break
                 pending.remove(launchable)
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
+                if slot is None:
+                    slot = spawn()
                 if launchable.group is not None:
-                    proc = ctx.Process(
-                        target=_group_worker,
-                        args=(
-                            child_conn,
-                            spec,
-                            [(e, mm, r) for e, mm, r, _ in launchable.group],
-                            algorithm_kwargs,
-                            backend,
-                            cache,
-                        ),
-                        daemon=True,
-                    )
+                    lease = ([(e, mm, r) for e, mm, r, _ in launchable.group], backend)
                     budget = None if timeout is None else timeout * len(launchable.group)
                 else:
-                    proc = ctx.Process(
-                        target=_cell_worker,
-                        args=(
-                            child_conn,
-                            spec,
-                            launchable.eps,
-                            launchable.m,
-                            launchable.rep,
-                            algorithm_kwargs,
-                            chaos,
-                            launchable.attempt,
-                            cache,
-                        ),
-                        daemon=True,
-                    )
+                    lease = ([(launchable.eps, launchable.m, launchable.rep)], "scalar")
                     budget = timeout
-                proc.start()
-                child_conn.close()
-                deadline = None if budget is None else now + budget
-                active.append(_Active(launchable, proc, parent_conn, deadline))
-
-            # Reap finished / dead / overdue workers.
-            still_active: list[_Active] = []
-            for entry in active:
-                outcome = _reap(entry)
-                if outcome is None:
-                    still_active.append(entry)
+                try:
+                    slot.conn.send((*lease, launchable.attempt))
+                except OSError:
+                    # The slot died while idle (killed, or stopped after an
+                    # interrupt): drop it and offer the lease again.
+                    _terminate(slot.process)
+                    slot.conn.close()
+                    slots.remove(slot)
+                    pending.appendleft(launchable)
                     continue
-                entry.conn.close()
+                leases += 1
+                slot.task = launchable
+                slot.deadline = None if budget is None else now + budget
+
+            # Block until a slot answers or dies, a lease deadline passes,
+            # or (with a slot free) a backed-off attempt becomes ready.
+            busy = [slot for slot in slots if slot.task is not None]
+            wake = [slot.deadline for slot in busy if slot.deadline is not None]
+            if pending and (len(busy) < len(slots) or len(slots) < workers):
+                wake.append(min(t.ready_at for t in pending))
+            ready = wait(
+                [slot.conn for slot in busy] + [slot.process.sentinel for slot in busy],
+                None if not wake else max(0.0, min(wake) - time.monotonic()),
+            )
+            now = time.monotonic()
+            for slot in busy:
+                outcome = _collect(slot, ready, now)
+                if outcome is None:
+                    continue
+                task, slot.task = slot.task, None
+                if outcome[0] in ("crash", "timeout"):
+                    # The process is gone; a fresh slot replaces it on demand.
+                    slot.conn.close()
+                    slots.remove(slot)
                 status, payload, worker_cache = outcome
-                task = entry.task
                 if task.group is not None:
                     if status == "ok":
                         good, bad = _split_group_payload(spec, task, payload)
@@ -929,6 +932,7 @@ def _execute_resilient(
                         )
                     continue
                 if status == "ok":
+                    payload = payload[0]
                     problem = validate_cell_rows(spec, task.eps, task.m, task.rep, payload)
                     if problem is None:
                         completed[task.seed] = payload
@@ -987,9 +991,6 @@ def _execute_resilient(
                     manifest.failures.append(failure)
                     if journal is not None:
                         journal.record_failure(failure.as_dict())
-            active = still_active
-            if pending or active:
-                time.sleep(_POLL_INTERVAL)
         manifest.cells_completed = len(completed) - manifest.cells_replayed
         journal_stats(interrupted=False)
         if journal is not None:
@@ -997,12 +998,18 @@ def _execute_resilient(
             # verify it arrived bit-identical (repro verify / collect).
             journal.record_seal()
     except KeyboardInterrupt:
-        _terminate_all([entry.process for entry in active])
-        for entry in active:
-            entry.conn.close()
+        _terminate_all([slot.process for slot in slots])
         journal_stats(interrupted=True)
         raise SweepInterrupted(partial_result()) from None
     finally:
+        # Idle slots exit on EOF; whatever is still alive after one shared
+        # grace period (a slot busy when an error escaped) is terminated.
+        for slot in slots:
+            slot.conn.close()
+        deadline = time.monotonic() + _KILL_GRACE
+        for slot in slots:
+            slot.process.join(max(0.0, deadline - time.monotonic()))
+        _terminate_all([slot.process for slot in slots])
         if journal is not None:
             journal.close()
 

@@ -13,6 +13,7 @@ import json
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import urllib.request
@@ -242,6 +243,21 @@ class TestLoadGenerator:
         assert report.accepted + report.rejected == 30
 
 
+def _burst_then_reset(port: int, n: int) -> None:
+    """Send *n* offers, read one reply, then reset the connection (RST)."""
+    burst = b"".join(
+        encode_line({"op": "offer", "job": {"processing": 1.0, "slack": 1.0},
+                     "tag": k})
+        for k in range(n)
+    )
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+        sock.sendall(burst)
+        while b"\n" not in sock.recv(4096):
+            pass
+        # SO_LINGER with a zero timeout turns close() into an RST.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+
 class TestGracefulShutdown:
     def test_socket_shutdown_op_seals_the_journal(self, tmp_path):
         log = tmp_path / "log.jsonl"
@@ -302,6 +318,47 @@ class TestGracefulShutdown:
         assert server.drain_timed_out is False
         state = load_decision_journal(log)
         assert state.sealed and len(state.decisions) == 1
+
+    def test_client_reset_with_replies_pending_closes_quietly(self, tmp_path):
+        """A client that resets mid-burst must not reach the loop handler.
+
+        The server is still writing replies when the RST lands, so its
+        ``write``/``drain`` raise ``ConnectionResetError`` or
+        ``BrokenPipeError``; the handler has to close the connection
+        quietly and the journal must still seal and replay.
+        """
+        log = tmp_path / "log.jsonl"
+        loop_errors = []
+
+        async def main():
+            server = AdmissionServer(ServeConfig(
+                machines=2, epsilon=0.5, decision_log=str(log),
+            ))
+            await server.start()
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, ctx: loop_errors.append(ctx)
+            )
+            # The client runs on its own thread: on the server's loop it
+            # could only act while the handler is parked in ``readline``,
+            # which never sees a reset mid-write.
+            await asyncio.get_running_loop().run_in_executor(
+                None, _burst_then_reset, server.socket_port, 500
+            )
+            for _ in range(100):
+                if not server._connections:
+                    break
+                await asyncio.sleep(0.01)
+            server.request_shutdown()
+            await server.serve_until_shutdown()
+            await asyncio.sleep(0.05)  # let any stray callbacks fire
+            return server
+
+        asyncio.run(main())
+        assert loop_errors == []
+        state = load_decision_journal(log)
+        assert state.sealed and len(state.decisions) >= 1
+        ok, detail = verify_decision_log(log)
+        assert ok, detail
 
     def test_drain_timeout_bounds_a_client_that_stopped_reading(self, tmp_path):
         """--drain-timeout: a stalled *reader* cannot hang shutdown.

@@ -120,6 +120,44 @@ def _broken_workload(m: int, eps: float, seed: int):
     raise ValueError("this workload is permanently broken")
 
 
+def _recording_workload(pid_dir: str, m: int, eps: float, seed: int, crash_seed=None):
+    """Module-level workload that records its worker's PID.
+
+    With ``crash_seed`` set, the first attempt at that cell kills its
+    worker outright (``os._exit``), as a segfault or an OOM kill would.
+    """
+    if seed == crash_seed:
+        marker = os.path.join(pid_dir, "crashed")
+        if not os.path.exists(marker):
+            open(marker, "w").close()
+            os._exit(3)
+    open(os.path.join(pid_dir, str(os.getpid())), "w").close()
+    return random_instance(6, m, eps, seed=seed)
+
+
+def _lease_spec(workload) -> SweepSpec:
+    """36 cells: five group leases of up to eight cells."""
+    return SweepSpec(
+        epsilons=[0.2, 0.4, 0.6],
+        machine_counts=[1, 2, 3],
+        algorithms=["greedy", "threshold"],
+        workload=workload,
+        repetitions=4,
+        base_seed=21,
+    )
+
+
+def _exiting_workload(exit_seed: int, m: int, eps: float, seed: int):
+    """Module-level workload whose one cell calls ``sys.exit``."""
+    if seed == exit_seed:
+        sys.exit("this cell exits its worker")
+    return random_instance(6, m, eps, seed=seed)
+
+
+def _worker_pids(pid_dir) -> set[int]:
+    return {int(p.name) for p in pid_dir.iterdir() if p.name.isdigit()}
+
+
 class TestCleanRuns:
     def test_matches_serial_without_faults(self):
         spec = _chaos_spec()
@@ -335,6 +373,88 @@ class TestFailureModes:
         with pytest.raises(SweepExecutionError, match="permanently broken") as excinfo:
             run_sweep_parallel(spec)
         assert excinfo.value.manifest.quarantined == 1
+
+
+class TestWorkerSlots:
+    """Persistent worker slots: forked once per sweep, respawned on a crash."""
+
+    def test_fault_free_sweep_runs_in_exactly_workers_processes(self, tmp_path):
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        spec = _lease_spec(partial(_recording_workload, str(pid_dir)))
+        path = tmp_path / "sweep.jsonl"
+        result = run_sweep_resilient(spec, max_workers=2, journal_path=path)
+        pids = _worker_pids(pid_dir)
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert result.rows == run_sweep(_lease_spec(partial(random_instance, 6)))
+        (stats,) = load_journal(path).stats
+        assert stats["workers_spawned"] == stats["workers"] == 2
+        assert stats["leases"] == 5  # ceil(36 / 8) group leases, no retries
+
+    def test_crash_mid_group_lease_respawns_the_slot(self, tmp_path):
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        probe = _lease_spec(None)
+        # The fourth cell sits in the middle of the first group lease.
+        crash_seed = probe.cell_seed(*list(probe.cells())[3])
+        spec = _lease_spec(
+            partial(_recording_workload, str(pid_dir), crash_seed=crash_seed)
+        )
+        path = tmp_path / "sweep.jsonl"
+        result = run_sweep_resilient(
+            spec, max_workers=2, journal_path=path, backoff=0.01
+        )
+        assert (pid_dir / "crashed").exists()
+        assert result.complete and result.manifest.quarantined == 0
+        assert result.rows == run_sweep(_lease_spec(partial(random_instance, 6)))
+        # The crashed lease's eight members were demoted and recovered.
+        assert result.manifest.recovered == 8
+        (stats,) = load_journal(path).stats
+        assert stats["workers_spawned"] == 3  # two slots plus one respawn
+        assert len(_worker_pids(pid_dir)) == 3
+
+    def test_cell_that_exits_its_worker_is_quarantined_alone(self):
+        # The worker answers the SystemExit as an error and then stops,
+        # so the next lease for that slot finds it gone: the lease goes
+        # to a respawned slot (or, if it was already sent, is retried).
+        probe = _lease_spec(None)
+        exit_seed = probe.cell_seed(*list(probe.cells())[5])
+        spec = _lease_spec(partial(_exiting_workload, exit_seed))
+        result = run_sweep_resilient(spec, max_workers=2, max_retries=4, backoff=0.01)
+        (failure,) = result.manifest.failures
+        assert failure.seed == exit_seed and failure.attempts == 5
+        assert any("SystemExit: this cell exits" in h for h in failure.history)
+        serial = run_sweep(_lease_spec(partial(random_instance, 6)))
+        assert result.rows == [
+            row for row in serial
+            if probe.cell_seed(row.epsilon, row.machines, row.repetition) != exit_seed
+        ]
+        assert mp.active_children() == []
+
+    def test_no_worker_outlives_the_sweep(self, tmp_path):
+        run_sweep_resilient(_small_spec(), max_workers=2)
+        assert mp.active_children() == []
+
+        hung = SweepSpec(
+            epsilons=[0.3],
+            machine_counts=[1, 2],
+            algorithms=["greedy"],
+            workload=_hanging_workload,
+            repetitions=1,
+            base_seed=2,
+        )
+        result = run_sweep_resilient(hung, timeout=0.5, max_retries=0, max_workers=2)
+        assert [f.kind for f in result.manifest.failures] == ["timeout"]
+        assert mp.active_children() == []
+
+        with pytest.raises(SweepInterrupted):
+            run_sweep_resilient(
+                _chaos_spec(),
+                journal_path=tmp_path / "killed.jsonl",
+                interrupt_after=2,
+                max_workers=2,
+            )
+        assert mp.active_children() == []
 
 
 def _stubborn_child() -> None:
