@@ -1,15 +1,15 @@
-"""E26 — elastic vs static scheduling under a 10x-slow worker.
+"""E26 — leased worker pool vs static shards under a 10x-slow worker.
 
 The sharding layer (E24) fixes cell->host assignment up front, so a
 heterogeneous fleet pays for its slowest member: one 10x-slow host
 stretches the merged sweep by roughly the slow shard's whole wall-clock
-(straggler ratio ~2-3 on four shards).  The elastic pull scheduler
-(`repro.workloads.elastic`) removes that tax — workers lease cells from
-a shared queue under heartbeats, a dead worker's cells re-dispatch, and
-the end-game speculatively re-executes stragglers — so per-worker
-wall-clock stays near-uniform even with one 10x-slow worker *and* one
-worker that dies mid-sweep.  This bench runs the same grid both ways
-and certifies:
+(straggler ratio ~2-3 on four shards).  The worker-slot scheduler
+removes that tax — slots lease cells from one shared queue
+(`repro.workloads.elastic.CellQueue`) under heartbeats, a dead worker's
+cells re-dispatch, and the end-game speculatively re-executes
+stragglers — so per-worker wall-clock stays near-uniform even with one
+10x-slow worker *and* one worker that dies mid-sweep.  This bench runs
+the same grid both ways and certifies:
 
 * static shard assignment: straggler ratio (max/mean shard wall-clock)
   **>= 1.9** with one 10x-slow host;
@@ -101,7 +101,7 @@ def snapshot() -> dict:
         static_merged = merge_journals(paths)
     static_ratio = static_merged.straggler_ratio
 
-    # -- elastic: one pull-scheduler pass; slot 0 is 10x slow (heartbeats
+    # -- elastic: one worker-slot pass; slot 0 is 10x slow (heartbeats
     #    flowing), slot 1 hard-dies picking up its 3rd cell every respawn.
     plan = WorkerChaosPlan(
         slow_worker=((0, SLOW_DELAY),), dead_worker=((1, 3),)
@@ -112,7 +112,6 @@ def snapshot() -> dict:
         elastic = execute_sweep(
             spec,
             ExecutionPolicy(
-                elastic=True,
                 workers=N_SHARDS,
                 heartbeat_interval=0.05,
                 journal=elastic_path,
@@ -164,7 +163,7 @@ def test_e26_elastic_beats_static_straggler(benchmark, save_artifact):
     assert snap["elastic_cells_quarantined"] == 0
     assert snap["static_rows_bit_identical"]
     assert snap["elastic_rows_bit_identical"]
-    assert snap["elastic_scheduler"] == "elastic"
+    assert snap["elastic_scheduler"] == "local"
 
     benchmark.extra_info.update(
         {

@@ -355,7 +355,6 @@ def _section_sharding() -> str:
                     shards=n_shards,
                     shard_index=i,
                     journal=path,
-                    elastic=True,
                     workers=2,
                 ),
             )
@@ -391,8 +390,8 @@ def _section_sharding() -> str:
         + "Merged rows bit-identical to the single-host run: "
         + f"**{'yes' if identical else 'NO — INVESTIGATE'}**.  The shard plan\n"
         + "is a pure function of the spec fingerprint, so independent hosts\n"
-        + "partition identically with no coordination (here each shard runs the\n"
-        + "elastic pull scheduler over its own cells); `repro merge` validates\n"
+        + "partition identically with no coordination (here each shard leases\n"
+        + "its own cells to two worker slots); `repro merge` validates\n"
         + "fingerprints and shard stamps before combining journals.\n"
     )
 
@@ -479,7 +478,7 @@ def _section_transport() -> str:
 
 
 def _section_elastic() -> str:
-    """Elastic pull scheduler: leases, heartbeats, speculation, recovery."""
+    """Worker slots under chaos: leases, heartbeats, speculation, recovery."""
     import json
     import tempfile
     from functools import partial
@@ -505,7 +504,6 @@ def _section_elastic() -> str:
         result = execute_sweep(
             spec,
             ExecutionPolicy(
-                elastic=True,
                 workers=3,
                 heartbeat_interval=0.05,
                 journal=path,

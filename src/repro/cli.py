@@ -149,12 +149,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         inst = cloud_instance(args.n, args.m, args.eps, seed=args.seed)
     else:
         inst = alternating_instance(max(1, args.n // (2 * args.m)), args.m, args.eps)
-    if args.jit:
-        import os
-
-        from repro.engine.jit import JIT_ENV
-
-        os.environ[JIT_ENV] = "1"
     result = run_simulation(
         SimulationRequest(args.algorithm, inst, record_events=args.events),
         backend=args.backend,
@@ -455,12 +449,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         or args.timeout is not None
         or args.manifest is not None
         or args.shards > 1
-        or args.elastic
+        or args.adaptive_reps
         or args.hosts is not None
     )
-    if args.adaptive_reps and not args.elastic:
-        print("error: --adaptive-reps requires --elastic", file=sys.stderr)
-        return 2
     hosts = None
     if args.hosts is not None:
         from repro.workloads.remote import load_hosts
@@ -476,7 +467,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             result = execute_sweep(
                 spec,
-                ExecutionPolicy(cache=cache, backend=args.backend, jit=args.jit),
+                ExecutionPolicy(cache=cache, backend=args.backend),
             )
         except KeyboardInterrupt:
             print("\ninterrupted: serial sweep discarded; re-run with --journal "
@@ -500,8 +491,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             shards=args.shards,
             shard_index=args.shard_index,
             backend=args.backend,
-            jit=args.jit,
-            elastic=args.elastic,
             speculate=args.speculate,
             adaptive_reps=args.adaptive_reps,
             heartbeat_interval=args.heartbeat_interval,
@@ -780,12 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
              "batch falls back to scalar with a warning when unsupported",
     )
     p.add_argument(
-        "--jit", action="store_true",
-        help="run batch kernels through the optional numba-jitted inner "
-             "loop (REPRO_NUMBA=1); warns and falls back to NumPy when "
-             "numba is not installed — results are identical either way",
-    )
-    p.add_argument(
         "--json", action="store_true",
         help="print a machine-readable JSON document on stdout and route "
              "all human-readable lines to stderr",
@@ -929,38 +912,24 @@ def build_parser() -> argparse.ArgumentParser:
              "(see docs/engine_backends.md)",
     )
     p.add_argument(
-        "--jit", action="store_true",
-        help="batch kernels use the optional numba-jitted inner loop "
-             "(exports REPRO_NUMBA=1 to workers); warns and falls back to "
-             "NumPy when numba is not installed",
-    )
-    p.add_argument(
-        "--elastic", action="store_true",
-        help="pull-based elastic scheduler: persistent workers lease cells "
-             "from a shared queue, heartbeats separate slow workers from "
-             "hung ones, dead workers are respawned and their leases "
-             "re-dispatched (see docs/resilience.md)",
-    )
-    p.add_argument(
         "--speculate", action=argparse.BooleanOptionalAction, default=True,
-        help="with --elastic: re-execute straggler cells speculatively once "
+        help="re-execute straggler cells speculatively once "
              "the queue runs dry; first verified result wins and duplicates "
              "are asserted bit-identical (default: on)",
     )
     p.add_argument(
         "--adaptive-reps", action="store_true",
-        help="with --elastic: issue repetitions lazily and skip the "
-             "remainder of a config once the bootstrap CI of every "
-             "algorithm's mean accepted load is tight",
+        help="issue repetitions lazily and skip the remainder of a config "
+             "once the bootstrap CI of every algorithm's mean accepted load "
+             "is tight (implies the fault-tolerant runner)",
     )
     p.add_argument(
         "--heartbeat-interval", type=float, default=0.1,
-        help="with --elastic: worker heartbeat cadence in seconds "
-             "(default 0.1)",
+        help="worker heartbeat cadence in seconds (default 0.1)",
     )
     p.add_argument(
         "--lease-timeout", type=float, default=None,
-        help="with --elastic: seconds without a heartbeat before a lease is "
+        help="seconds without a heartbeat before a lease is "
              "presumed dead and re-dispatched (default: 10x the heartbeat "
              "interval)",
     )

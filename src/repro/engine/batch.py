@@ -203,19 +203,9 @@ def _simulate(
 ) -> tuple[np.ndarray, ...]:
     """The SoA step loop shared by every immediate-model batch entry point.
 
-    Returns ``(acc, mach, startv, starts, ends, cnt)``.  When the numba
-    seam is active (:mod:`repro.engine.jit`) the identical loop runs
-    jit-compiled; both paths execute the same IEEE-754 operations in the
-    same order, so their outputs are interchangeable bit-for-bit.
+    Returns ``(acc, mach, startv, starts, ends, cnt)``.
     """
-    from repro.engine import jit
-
     b, n = rel.shape
-    if n and jit.jit_active():
-        return jit.simulate_jit(
-            rel, proc, dl, m, admission, allocation,
-            f_pad=f_pad, kvec=kvec, targets=targets, q=q, draws=draws,
-        )
     bm = b * m
     rows = np.arange(bm)
     starts = np.zeros((bm, n)) if n else np.zeros((bm, 1))

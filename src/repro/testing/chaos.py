@@ -154,11 +154,11 @@ class ChaosPlan:
 
 @dataclass(frozen=True)
 class WorkerChaosPlan:
-    """Deterministic *worker-level* fault plan for the elastic scheduler.
+    """Deterministic *worker-level* fault plan for the local worker slots.
 
     Where :class:`ChaosPlan` poisons individual **cells** (the unit of
     retry), this plan poisons **worker slots** (the unit of leasing in
-    :mod:`repro.workloads.elastic`) — the failure modes a heterogeneous
+    :mod:`repro.workloads.resilient`) — the failure modes a heterogeneous
     or dying fleet exhibits even when every cell is healthy:
 
     * ``slow_worker`` — the slot sleeps a fixed delay before every cell

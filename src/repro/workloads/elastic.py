@@ -1,79 +1,50 @@
-"""Elastic, pull-based sweep execution: leases, heartbeats, speculation.
+"""The sweep lease queue: revocable leases, heartbeats, speculation.
 
-The static scheduler in :mod:`repro.workloads.resilient` pushes cells at
-workers (and :class:`~repro.workloads.sharding.ShardPlan` fixes cell->host
-assignment up front), so one slow or dying worker stretches the whole
-sweep — E24 measured a 1.96x straggler ratio that per-cell retries cannot
-fix.  This module inverts the control flow: workers *pull* cells from a
-shared :class:`CellQueue`, and every grant is a **lease** — a revocable
-commitment to a cell that only becomes final when its verified journal
-row lands.  Revocability is what makes the pool elastic:
+Every sweep scheduler — the local worker slots in
+:mod:`repro.workloads.resilient` and the registry hosts in
+:mod:`repro.workloads.remote` — hands cells to workers through one
+:class:`CellQueue`.  Each grant is a **lease**: a revocable commitment
+to a cell (or to a group of cells) that only becomes final when its
+verified journal row lands.  Revocability is what makes the pool
+elastic:
 
-* **Heartbeats** extend a lease's deadline while the worker computes, so
-  a *slow* worker keeps its lease (bounded only by the hard per-cell
-  ``timeout``) while a *hung or dead* one — no heartbeats — expires and
-  has its cell re-dispatched to a healthy slot.
-* **Dead-worker detection**: a worker process that exits without a
-  result has its lease released and re-queued immediately, the slot's
-  failure count incremented, and the slot respawned — until its failure
-  budget is spent, at which point the slot is **quarantined** (folded
-  into :class:`~repro.workloads.resilient.FailureManifest` as a
-  :class:`~repro.workloads.resilient.WorkerFailure`) and the pool
-  shrinks.  The pool never drops below one live slot, so a sweep always
-  makes progress.
-* **Speculative re-execution**: once the queue runs dry, idle workers
-  re-execute the longest-running outstanding cells (at most one extra
-  copy per cell).  First verified result wins; a duplicate result is
-  asserted bit-identical to the winner, so speculation doubles as a live
-  determinism check — a mismatch raises :class:`SpeculationMismatch`
-  rather than journaling either copy silently.
-* **Adaptive repetitions** (opt-in): repetitions of a grid config are
-  issued incrementally, and once the bootstrap confidence interval of
-  every algorithm's mean accepted load is tight the remaining reps are
-  skipped (counted in ``manifest.cells_skipped``) instead of executed.
+* **Heartbeats** extend a lease's soft deadline while the worker
+  computes, so a *slow* worker keeps its lease (bounded only by the hard
+  per-cell ``timeout``) while a *hung or dead* one — no heartbeats —
+  expires and has its cell re-dispatched to a healthy slot.
+* **Retries and quarantine**: a failed lease re-queues its cell behind a
+  decorrelated-jitter backoff (``ready_at``) until the cell's retry
+  budget is spent, then quarantines it as a
+  :class:`~repro.workloads.resilient.CellFailure`.  A failed *group*
+  lease instead demotes its members to single-cell leases with a fresh
+  budget, so retries stay per cell.
+* **Speculative re-execution**: when nothing is ready to lease (the
+  queue is dry, or every pending cell is backing off), idle workers
+  re-execute the longest-running outstanding single-cell leases (at most
+  one extra copy per cell and attempt).  First verified result wins; a duplicate
+  result is asserted bit-identical to the winner, so speculation doubles
+  as a live determinism check — a mismatch raises
+  :class:`SpeculationMismatch` rather than journaling either copy
+  silently.
+* **Adaptive repetitions** (opt-in, :class:`_AdaptiveReps`): repetitions
+  of a grid config are issued incrementally, and once the bootstrap
+  confidence interval of every algorithm's mean accepted load is tight
+  the remaining reps are skipped instead of executed.
 
-Determinism is unchanged: cells draw their instances from
-:meth:`SweepSpec.cell_seed`, so re-dispatch, speculation and worker death
-cannot alter the data — an elastic chaos run merges bit-identical to the
-serial scalar run.  Lease/heartbeat provenance rides on journal rows
-*outside* the row CRC (see :mod:`repro.workloads.journal`).
+The queue is a pure state machine — no processes, pipes or clocks — so
+determinism is easy to check: cells draw their instances from
+:meth:`SweepSpec.cell_seed`, and any interleaving of grants, expiries,
+re-dispatches and duplicate completions converges to the same rows.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-import time
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
 
-import multiprocessing as mp
-
-from repro.offline.cache import BracketCache, CacheStats
-from repro.workloads.resilient import (
-    CellFailure,
-    FailureManifest,
-    ResilientSweepResult,
-    SweepInterrupted,
-    WorkerFailure,
-    _assemble,
-    _terminate,
-    _terminate_all,
-    check_seed_collisions,
-    prepare_journal,
-    run_cell,
-    run_cells,
-    validate_cell_rows,
-    validate_sweep_pickles,
-)
+from repro.workloads.resilient import CellFailure
 from repro.workloads.sweep import SweepRow, SweepSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.testing.chaos import ChaosPlan, WorkerChaosPlan
-
-#: Scheduler poll cadence (seconds) — bounds dispatch/reap latency.
-_POLL_INTERVAL = 0.005
+from repro.workloads.transport import decorrelated_delay
 
 #: Default heartbeat cadence (seconds) inside a worker.
 DEFAULT_HEARTBEAT_INTERVAL = 0.1
@@ -100,9 +71,13 @@ class SpeculationMismatch(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+#: One cell of a lease or of the queue: ``(eps, m, rep, seed)``.
+Cell = tuple[float, int, int, int]
+
+
 @dataclass
 class Lease:
-    """One revocable commitment of a cell to a worker slot."""
+    """One revocable commitment of a cell (or a group of cells) to a slot."""
 
     eps: float
     m: int
@@ -113,12 +88,15 @@ class Lease:
     granted_at: float
     #: soft deadline, extended by every heartbeat; expiry = presumed dead.
     deadline: float
-    #: hard wall-clock bound (``granted_at + timeout``); ``None`` = none.
+    #: hard wall-clock bound (``granted_at + timeout`` per cell); ``None`` = none.
     hard_deadline: float | None
     heartbeats: int = 0
     #: an end-game duplicate of an outstanding lease, not a fresh attempt.
     speculative: bool = False
     history: tuple[str, ...] = ()
+    #: group lease: every member cell, the first being ``(eps, m, rep,
+    #: seed)`` above; ``None`` for a single-cell lease.
+    group: tuple[Cell, ...] | None = None
 
 
 @dataclass
@@ -129,6 +107,9 @@ class _PendingCell:
     seed: int
     attempt: int  # next attempt number (1-based)
     history: tuple[str, ...] = ()
+    group: tuple[Cell, ...] | None = None
+    #: retry backoff: not leased before this (monotonic) time.
+    ready_at: float = 0.0
 
 
 class CellQueue:
@@ -140,11 +121,18 @@ class CellQueue:
     expiry / release / completion must converge to the same completed
     rows — see ``tests/workloads/test_elastic.py``).
 
+    With ``group_cells > 1`` the cells are leased in groups of up to that
+    many (one batch-kernel call per group); a failed group is demoted to
+    single-cell leases with a fresh retry budget.  A charged retry waits
+    ``decorrelated_delay(backoff, attempt)`` (salted by the cell seed
+    under ``jitter_seed``) before it can be leased again.
+
     Invariants:
 
     * at most one lease per worker slot;
     * at most ``max_copies`` concurrent leases per cell (primary +
-      speculative end-game copies);
+      speculative end-game copies, one copy per attempt; group leases
+      are never copied);
     * a cell is ``pending``, leased, ``completed`` or quarantined
       (``failures``) — never two at once;
     * duplicate completions must be bit-identical or
@@ -153,13 +141,16 @@ class CellQueue:
 
     def __init__(
         self,
-        cells: list[tuple[float, int, int, int]],
+        cells: list[Cell],
         *,
         retries: int = 2,
         lease_timeout: float = 1.0,
         timeout: float | None = None,
         speculate: bool = True,
         max_copies: int = 2,
+        group_cells: int = 1,
+        backoff: float = 0.0,
+        jitter_seed: int = 0,
     ) -> None:
         if lease_timeout <= 0:
             raise ValueError(f"lease_timeout must be positive, got {lease_timeout}")
@@ -170,19 +161,31 @@ class CellQueue:
         self.timeout = timeout
         self.speculate = speculate
         self.max_copies = max_copies
-        self.pending: deque[_PendingCell] = deque(
-            _PendingCell(eps, m, rep, seed, attempt=1) for eps, m, rep, seed in cells
-        )
+        self.backoff = backoff
+        self.jitter_seed = jitter_seed
+        self.pending: deque[_PendingCell] = deque()
+        if group_cells > 1:
+            for lo in range(0, len(cells), group_cells):
+                members = tuple(cells[lo : lo + group_cells])
+                self.pending.append(_PendingCell(*members[0], attempt=1, group=members))
+        else:
+            self.pending.extend(_PendingCell(*cell, attempt=1) for cell in cells)
         #: one lease per worker slot currently holding one.
         self.leases: dict[int, Lease] = {}
         self.completed: dict[int, list[SweepRow]] = {}
         self.failures: list[CellFailure] = []
         #: seeds not yet completed or quarantined.
         self.remaining: set[int] = {seed for _, _, _, seed in cells}
-        #: total leases granted (provenance / stats).
+        #: total leases granted, speculative copies included (stats).
         self.granted = 0
         #: speculative leases granted (stats).
         self.speculated = 0
+        #: ``(seed, attempt)`` pairs already copied: one copy per attempt
+        #: (unless a worker fault loses it), so copies that keep failing
+        #: on their own cannot re-spawn each other forever.
+        self._copied: set[tuple[int, int]] = set()
+        #: charged re-queues: attempts spent beyond each cell's first.
+        self.retried = 0
 
     # -- queries -------------------------------------------------------
 
@@ -210,21 +213,27 @@ class CellQueue:
     # -- transitions ---------------------------------------------------
 
     def next_lease(self, worker: int, now: float) -> Lease | None:
-        """Grant the next cell (or an end-game speculative copy) to *worker*.
+        """Grant the next ready cell (or an end-game speculative copy).
 
-        Returns ``None`` when there is nothing to grant — the worker goes
-        idle and should be re-offered work after the next state change.
+        Returns ``None`` when there is nothing to grant — no pending cell
+        is ready and no lease is worth copying.  The worker goes idle and
+        should be re-offered work after the next state change.
         """
         if worker in self.leases:
             raise RuntimeError(f"worker slot {worker} already holds a lease")
         speculative = False
-        if self.pending:
-            task = self.pending.popleft()
+        for i, task in enumerate(self.pending):
+            if task.ready_at <= now:
+                del self.pending[i]
+                break
         else:
-            task = self._speculation_target(worker)
+            # Nothing ready (the queue is dry, or every pending cell is
+            # backing off): an idle worker copies a straggler instead.
+            task = self._speculation_target()
             if task is None:
                 return None
             speculative = True
+        cells = 1 if task.group is None else len(task.group)
         lease = Lease(
             eps=task.eps,
             m=task.m,
@@ -234,9 +243,10 @@ class CellQueue:
             attempt=task.attempt,
             granted_at=now,
             deadline=now + self.lease_timeout,
-            hard_deadline=None if self.timeout is None else now + self.timeout,
+            hard_deadline=None if self.timeout is None else now + self.timeout * cells,
             speculative=speculative,
             history=task.history,
+            group=task.group,
         )
         self.leases[worker] = lease
         self.granted += 1
@@ -244,27 +254,23 @@ class CellQueue:
             self.speculated += 1
         return lease
 
-    def _speculation_target(self, worker: int) -> _PendingCell | None:
-        """End-game: duplicate the longest-outstanding under-copied cell."""
+    def _speculation_target(self) -> Lease | None:
+        """End-game: the longest-outstanding under-copied lease, to copy."""
         if not self.speculate:
             return None
         candidates = [
             lease
             for lease in self.leases.values()
-            if lease.seed in self.remaining
+            if lease.group is None
+            and lease.seed in self.remaining
+            and (lease.seed, lease.attempt) not in self._copied
             and len(self.outstanding(lease.seed)) < self.max_copies
         ]
         if not candidates:
             return None
         target = min(candidates, key=lambda lease: lease.granted_at)
-        return _PendingCell(
-            target.eps,
-            target.m,
-            target.rep,
-            target.seed,
-            attempt=target.attempt,
-            history=target.history,
-        )
+        self._copied.add((target.seed, target.attempt))
+        return target
 
     def heartbeat(self, worker: int, now: float) -> bool:
         """Extend *worker*'s lease deadline; ``False`` if it holds none.
@@ -286,23 +292,42 @@ class CellQueue:
         detail: str,
         *,
         charge_cell: bool = True,
+        crashed: bool = False,
+        now: float = 0.0,
     ) -> Lease | None:
         """Revoke *worker*'s lease after a failure; re-queue or quarantine.
 
-        ``charge_cell=False`` (worker death, lease expiry) re-queues the
-        cell without spending its retry budget — the *worker* is at
-        fault, and the caller charges the slot instead.  With other
-        copies still outstanding, or the cell already completed, nothing
-        is re-queued.  Returns the revoked lease (``None`` if the worker
-        held none).
+        ``charge_cell=False`` (lease expiry, a lost host) re-queues the
+        cell without spending its retry budget — the *worker* is at fault,
+        and the caller charges it instead.  A charged cell re-queues
+        behind its backoff until the budget is spent, then quarantines.
+        ``crashed=True`` (the worker process died) still charges the cell
+        but re-queues it ready at once: it moves to another slot, and
+        there is nothing to wait out.  With other copies still
+        outstanding, or the cell already completed, nothing is re-queued;
+        a copy lost to its worker (crash or expiry) may then be replaced
+        by a fresh one.  A group lease demotes every member (see
+        :meth:`complete_group`).  Returns the revoked lease (``None`` if
+        the worker held none).
         """
         lease = self.leases.pop(worker, None)
         if lease is None:
             return None
+        if lease.group is not None:
+            self._demote(lease, detail, now, backoff=not crashed)
+            return lease
         if lease.seed not in self.remaining or self.outstanding(lease.seed):
-            return lease  # completed meanwhile, or another copy is running
-        history = lease.history + (f"{detail}",)
+            # Completed meanwhile, or another copy is running.
+            if crashed or not charge_cell:
+                self._copied.discard((lease.seed, lease.attempt))
+            return lease
+        history = lease.history + (detail,)
         if not charge_cell or lease.attempt <= self.retries:
+            ready_at = now
+            if charge_cell:
+                self.retried += 1
+                if not crashed:
+                    ready_at = self._ready_at(now, lease.attempt, lease.seed)
             self.pending.append(
                 _PendingCell(
                     lease.eps,
@@ -311,6 +336,7 @@ class CellQueue:
                     lease.seed,
                     attempt=lease.attempt + (1 if charge_cell else 0),
                     history=history,
+                    ready_at=ready_at,
                 )
             )
         else:
@@ -332,7 +358,7 @@ class CellQueue:
     def complete(
         self, worker: int, seed: int, rows: list[SweepRow]
     ) -> tuple[str, Lease | None]:
-        """Accept a result; returns ``(outcome, lease)``.
+        """Accept a single-cell result; returns ``(outcome, lease)``.
 
         Outcomes: ``"win"`` (first verified result for the cell — caller
         journals it), ``"duplicate"`` (cell already completed; *rows*
@@ -342,7 +368,7 @@ class CellQueue:
         :class:`SpeculationMismatch` when duplicate rows differ.
         """
         lease = self.leases.get(worker)
-        if lease is not None and lease.seed == seed:
+        if lease is not None and lease.seed == seed and lease.group is None:
             del self.leases[worker]
         else:
             lease = None
@@ -361,158 +387,55 @@ class CellQueue:
         self.remaining.discard(seed)
         return ("win", lease)
 
-    def add_cells(self, cells: list[tuple[float, int, int, int]]) -> None:
+    def complete_group(
+        self,
+        worker: int,
+        rows: dict[int, list[SweepRow]],
+        problems: dict[int, str],
+        now: float = 0.0,
+    ) -> Lease:
+        """Settle *worker*'s group lease: accept *rows*, demote the rest.
+
+        *rows* maps member seed to verified rows (each one a win — group
+        leases have no copies); every other member is demoted to a
+        single-cell lease with a fresh retry budget and its reason from
+        *problems* in its history.  The lease itself spends no retries.
+        """
+        lease = self.leases.pop(worker)
+        for seed, cell_rows in rows.items():
+            self.completed[seed] = cell_rows
+            self.remaining.discard(seed)
+        self._demote(lease, problems, now, backoff=True)
+        return lease
+
+    def add_cells(self, cells: list[Cell]) -> None:
         """Append fresh cells (adaptive repetitions issue reps lazily)."""
-        for eps, m, rep, seed in cells:
-            self.pending.append(_PendingCell(eps, m, rep, seed, attempt=1))
-            self.remaining.add(seed)
+        for cell in cells:
+            self.pending.append(_PendingCell(*cell, attempt=1))
+            self.remaining.add(cell[3])
 
+    # -- helpers -------------------------------------------------------
 
-# ---------------------------------------------------------------------------
-# worker process
-# ---------------------------------------------------------------------------
+    def _ready_at(self, now: float, attempt: int, seed: int) -> float:
+        return now + decorrelated_delay(
+            self.backoff, attempt, seed=self.jitter_seed, salt=seed
+        )
 
-
-def _heartbeat_loop(conn, lock, slot: int, seed: int, interval: float, stop) -> None:
-    """Worker-side heartbeat thread: one beat per *interval* until stopped."""
-    while not stop.wait(interval):
-        try:
-            with lock:
-                conn.send(("heartbeat", slot, seed))
-        except (OSError, ValueError):  # pragma: no cover - parent went away
-            return
-
-
-def _elastic_worker(
-    conn,
-    slot: int,
-    spec: SweepSpec,
-    algorithm_kwargs: dict[str, dict[str, Any]],
-    backend: str,
-    chaos: "ChaosPlan | None",
-    worker_chaos: "WorkerChaosPlan | None",
-    heartbeat_interval: float,
-    cache: BracketCache | None,
-) -> None:
-    """Pull-loop worker: ready -> lease -> heartbeats -> result, repeat.
-
-    Protocol (worker -> parent, all sends serialised by a lock because a
-    ``Connection`` is not thread-safe against the heartbeat thread):
-
-    * ``("ready", slot)`` — idle, asking for a lease;
-    * ``("heartbeat", slot, seed)`` — still computing *seed*;
-    * ``("result", slot, seed, rows, cache_delta)`` — verified rows plus
-      the bracket-cache counter *delta* since the previous result;
-    * ``("error", slot, seed, detail)`` — the cell raised.
-
-    Parent -> worker: ``("run", (eps, m, rep, seed), attempt)`` or
-    ``("stop",)``.  Worker-level chaos (:class:`WorkerChaosPlan`) is
-    applied here: injected slowness sleeps *inside* the heartbeat window
-    (a slow worker is alive), injected death is a hard ``os._exit``, and
-    suppressed heartbeats skip the thread entirely (hang-alike).
-    """
-    lock = threading.Lock()
-    nth_cell = 0
-    prev_cache: dict[str, Any] | None = None
-    try:
-        while True:
-            with lock:
-                conn.send(("ready", slot))
-            message = conn.recv()
-            if message[0] == "stop":
-                return
-            _, (eps, m, rep, seed), attempt = message
-            nth_cell += 1
-            if worker_chaos is not None and worker_chaos.dies_on_cell(slot, nth_cell):
-                from repro.testing.chaos import CHAOS_EXIT_CODE
-
-                os._exit(CHAOS_EXIT_CODE)
-            stop_beats = threading.Event()
-            beats = None
-            if worker_chaos is None or not worker_chaos.suppresses_heartbeat(slot):
-                beats = threading.Thread(
-                    target=_heartbeat_loop,
-                    args=(conn, lock, slot, seed, heartbeat_interval, stop_beats),
-                    daemon=True,
+    def _demote(
+        self, lease: Lease, detail: str | dict[int, str], now: float, backoff: bool
+    ) -> None:
+        """Re-queue a group's unfinished members as single-cell leases."""
+        for eps, m, rep, seed in lease.group or ():
+            if seed in self.remaining:
+                why = detail if isinstance(detail, str) else detail[seed]
+                self.pending.append(
+                    _PendingCell(
+                        eps, m, rep, seed,
+                        attempt=1,
+                        history=(f"group-lease {why}",),
+                        ready_at=self._ready_at(now, 1, seed) if backoff else now,
+                    )
                 )
-                beats.start()
-            try:
-                if worker_chaos is not None:
-                    delay = worker_chaos.delay_for(slot)
-                    if delay:
-                        time.sleep(delay)  # slow host: heartbeats keep flowing
-                fault = None
-                if chaos is not None:
-                    fault = chaos.fault_for(seed, attempt)
-                    chaos.trigger(fault)  # may _exit, hang, or raise
-                if backend == "scalar":
-                    rows = run_cell(spec, eps, m, rep, algorithm_kwargs, cache)
-                else:
-                    rows = run_cells(
-                        spec, [(eps, m, rep)], algorithm_kwargs, cache, backend=backend
-                    )[0]
-                if fault == "corrupt":
-                    rows = chaos.corrupt_rows(rows)
-                delta = None
-                if cache is not None:
-                    current = cache.stats.as_dict()
-                    delta = {
-                        key: current[key] - (prev_cache or {}).get(key, 0)
-                        for key in current
-                        if isinstance(current[key], int)
-                    }
-                    prev_cache = current
-                stop_beats.set()
-                if beats is not None:
-                    beats.join()
-                with lock:
-                    conn.send(("result", slot, seed, rows, delta))
-                if worker_chaos is not None and worker_chaos.duplicates_result(slot):
-                    with lock:
-                        conn.send(("result", slot, seed, rows, None))
-            except BaseException as exc:  # noqa: BLE001 - crosses the process boundary
-                stop_beats.set()
-                if beats is not None:
-                    beats.join()
-                with lock:
-                    conn.send(("error", slot, seed, f"{type(exc).__name__}: {exc}"))
-            finally:
-                stop_beats.set()
-    except (EOFError, OSError, KeyboardInterrupt):  # pragma: no cover - teardown races
-        pass
-    finally:
-        conn.close()
-
-
-# ---------------------------------------------------------------------------
-# parent-side worker slots
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Slot:
-    """Parent-side view of one worker slot across process generations."""
-
-    slot: int
-    process: mp.process.BaseProcess | None = None
-    conn: Any = None
-    generation: int = 0
-    failures: int = 0
-    history: tuple[str, ...] = ()
-    quarantined: bool = False
-    stopping: bool = False
-    #: slot is blocked in recv waiting for a lease offer.
-    idle: bool = False
-    started_at: float = 0.0
-    last_activity: float = 0.0
-    cells_done: int = 0
-
-    @property
-    def live(self) -> bool:
-        return self.process is not None and not self.quarantined
-
-    def wall_seconds(self) -> float:
-        return max(0.0, self.last_activity - self.started_at)
 
 
 # ---------------------------------------------------------------------------
@@ -612,379 +535,6 @@ class _AdaptiveReps:
             if ci.halfwidth / abs(ci.mean) > self.rel_tol:
                 return False
         return True
-
-
-# ---------------------------------------------------------------------------
-# the elastic scheduler
-# ---------------------------------------------------------------------------
-
-
-def _execute_elastic(
-    spec: SweepSpec,
-    algorithm_kwargs: dict[str, dict[str, Any]] | None = None,
-    *,
-    max_workers: int | None = None,
-    timeout: float | None = None,
-    max_retries: int = 2,
-    journal_path: str | os.PathLike[str] | None = None,
-    resume: bool = False,
-    chaos: "ChaosPlan | None" = None,
-    worker_chaos: "WorkerChaosPlan | None" = None,
-    interrupt_after: int | None = None,
-    cache: BracketCache | None = None,
-    cells: list[tuple[float, int, int]] | None = None,
-    shard: tuple[int, int] | None = None,
-    salvage: bool = False,
-    backend: str = "scalar",
-    heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-    lease_timeout: float | None = None,
-    speculate: bool = True,
-    adaptive_reps: bool = False,
-    adaptive_min_reps: int = 2,
-    adaptive_rel_tol: float = 0.01,
-    worker_max_failures: int = 3,
-) -> ResilientSweepResult:
-    """Pull-scheduler core behind ``ExecutionPolicy(elastic=True)``.
-
-    Shares journal preparation, seed-collision checks, row validation and
-    result assembly with the static scheduler, so resumes, salvage,
-    sharding (the queue simply serves this shard's cells) and the result
-    contract are identical.  Differences from the push path:
-
-    * workers are persistent pull-loop processes (one per slot), not one
-      process per cell — a slot only respawns after a failure;
-    * lease expiry (missed heartbeats) and worker death charge the *slot*
-      (``worker_max_failures`` per slot before quarantine), re-queueing
-      the cell without spending its retry budget;
-    * cell-level failures (error / corrupt / hard timeout) charge the
-      cell's retry budget exactly as the static scheduler does;
-    * with ``speculate``, the end-game duplicates straggler cells and the
-      first verified result wins (duplicates asserted bit-identical);
-    * with ``adaptive_reps``, repetitions are issued lazily and skipped
-      once the bootstrap CI of the mean accepted load is tight.
-    """
-    algorithm_kwargs = algorithm_kwargs or {}
-    validate_sweep_pickles(spec, algorithm_kwargs)
-    if lease_timeout is None:
-        lease_timeout = LEASE_TIMEOUT_BEATS * heartbeat_interval
-
-    cells = list(spec.cells()) if cells is None else list(cells)
-    check_seed_collisions(spec, cells)
-    manifest = FailureManifest(cells_total=len(cells))
-    journal, completed = prepare_journal(
-        spec, cells, journal_path, resume=resume, shard=shard, salvage=salvage
-    )
-    manifest.cells_replayed = len(completed)
-
-    adaptive: _AdaptiveReps | None = None
-    if adaptive_reps:
-        adaptive = _AdaptiveReps(
-            spec, cells, min_reps=adaptive_min_reps, rel_tol=adaptive_rel_tol
-        )
-        todo = adaptive.initial_cells(completed)
-    else:
-        todo = [cell for cell in cells if spec.cell_seed(*cell) not in completed]
-    queue = CellQueue(
-        [(eps, m, rep, spec.cell_seed(eps, m, rep)) for eps, m, rep in todo],
-        retries=max_retries,
-        lease_timeout=lease_timeout,
-        timeout=timeout,
-        speculate=speculate,
-    )
-
-    cell_by_seed = {spec.cell_seed(eps, m, rep): (eps, m, rep) for eps, m, rep in cells}
-    workers = max_workers or min(len(todo) or 1, os.cpu_count() or 2)
-    ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
-    slots = [_Slot(slot=i) for i in range(workers)]
-    cache_totals = CacheStats() if cache is not None else None
-    new_cells = 0
-    heartbeats_total = 0
-    started = time.monotonic()
-
-    def spawn(entry: _Slot) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        entry.generation += 1
-        process = ctx.Process(
-            target=_elastic_worker,
-            args=(
-                child_conn,
-                entry.slot,
-                spec,
-                algorithm_kwargs,
-                backend,
-                chaos,
-                worker_chaos,
-                heartbeat_interval,
-                cache,
-            ),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        now = time.monotonic()
-        entry.process = process
-        entry.conn = parent_conn
-        entry.idle = False
-        entry.stopping = False
-        if entry.started_at == 0.0:
-            entry.started_at = now
-        entry.last_activity = now
-
-    def live_slots() -> list[_Slot]:
-        return [entry for entry in slots if entry.live]
-
-    def worker_fault(entry: _Slot, detail: str) -> None:
-        """Charge a slot failure; respawn or quarantine (pool floor of 1)."""
-        entry.failures += 1
-        entry.history = entry.history + (detail,)
-        if entry.conn is not None:
-            entry.conn.close()
-        entry.process = None
-        entry.conn = None
-        entry.idle = False
-        if entry.failures > worker_max_failures and len(live_slots()) >= 1:
-            entry.quarantined = True
-            manifest.worker_failures.append(
-                WorkerFailure(
-                    slot=entry.slot,
-                    failures=entry.failures,
-                    detail=detail,
-                    history=entry.history,
-                )
-            )
-        else:
-            spawn(entry)
-
-    def record_win(lease: Lease, rows: list[SweepRow]) -> None:
-        nonlocal new_cells
-        queue_seed = lease.seed
-        manifest.cells_completed += 1
-        if lease.attempt > 1 or lease.history:
-            manifest.recovered += 1
-        completed[queue_seed] = rows
-        if journal is not None:
-            journal.record_cell(
-                queue_seed,
-                lease.eps,
-                lease.m,
-                lease.rep,
-                rows,
-                provenance={
-                    "worker": lease.worker,
-                    "attempt": lease.attempt,
-                    "heartbeats": lease.heartbeats,
-                    "lease_ms": round((time.monotonic() - lease.granted_at) * 1e3, 3),
-                    "speculative": lease.speculative,
-                },
-            )
-        new_cells += 1
-        if adaptive is not None:
-            fresh = adaptive.on_win(lease.eps, lease.m, lease.rep, rows)
-            if fresh:
-                queue.add_cells(
-                    [(e, mm, r, spec.cell_seed(e, mm, r)) for e, mm, r in fresh]
-                )
-        if (
-            interrupt_after is not None
-            and new_cells >= interrupt_after
-            and not queue.done
-        ):
-            raise KeyboardInterrupt  # simulated hard kill, same path as SIGINT
-
-    def cell_fault(entry: _Slot, detail: str) -> None:
-        """Charge the cell's retry budget (error / corrupt / timeout)."""
-        pending_before = len(queue.pending)
-        failures_before = len(queue.failures)
-        queue.release(entry.slot, detail, charge_cell=True)
-        if len(queue.pending) > pending_before:
-            manifest.retries += 1
-        for failure in queue.failures[failures_before:]:
-            manifest.failures.append(failure)
-            if journal is not None:
-                journal.record_failure(failure.as_dict())
-
-    def journal_stats(interrupted: bool) -> None:
-        if journal is None:
-            return
-        journal.record_stats(
-            {
-                "wall_seconds": round(time.monotonic() - started, 6),
-                "interrupted": interrupted,
-                "scheduler": "elastic",
-                "workers": workers,
-                "worker_wall_seconds": [
-                    round(entry.wall_seconds(), 6) for entry in slots
-                ],
-                "worker_cells": [entry.cells_done for entry in slots],
-                "leases": queue.granted,
-                "heartbeats": heartbeats_total,
-                "speculated": queue.speculated,
-                "cells_completed": manifest.cells_completed,
-                "cells_replayed": manifest.cells_replayed,
-                "cells_skipped": manifest.cells_skipped,
-                "recovered": manifest.recovered,
-                "retries": manifest.retries,
-                "quarantined": manifest.quarantined,
-                "workers_quarantined": manifest.workers_quarantined,
-                "cache": None if cache_totals is None else cache_totals.as_dict(),
-            }
-        )
-
-    def all_processes() -> list[mp.process.BaseProcess]:
-        return [entry.process for entry in slots if entry.process is not None]
-
-    for entry in slots:
-        spawn(entry)
-
-    try:
-        while not queue.done:
-            now = time.monotonic()
-            progressed = False
-            for entry in slots:
-                if not entry.live:
-                    continue
-                # Drain every queued message from this slot.
-                while entry.conn.poll():
-                    try:
-                        message = entry.conn.recv()
-                    except (EOFError, OSError):
-                        break
-                    progressed = True
-                    entry.last_activity = time.monotonic()
-                    kind = message[0]
-                    if kind == "ready":
-                        entry.idle = True
-                    elif kind == "heartbeat":
-                        heartbeats_total += 1
-                        queue.heartbeat(entry.slot, time.monotonic())
-                    elif kind == "result":
-                        _, _, seed, rows, cache_delta = message
-                        cell = cell_by_seed.get(seed)
-                        problem = (
-                            "unknown cell seed"
-                            if cell is None
-                            else validate_cell_rows(spec, *cell, rows)
-                        )
-                        if problem is not None:
-                            lease = queue.leases.get(entry.slot)
-                            if lease is not None and lease.seed == seed:
-                                cell_fault(entry, f"corrupt: {problem}")
-                            continue  # corrupt stale/duplicate copies just drop
-                        outcome, lease = queue.complete(entry.slot, seed, rows)
-                        if cache_totals is not None and cache_delta:
-                            cache_totals.merge(cache_delta)
-                        if outcome == "win":
-                            entry.cells_done += 1
-                            record_win(lease, rows)
-                    elif kind == "error":
-                        _, _, seed, detail = message
-                        cell_fault(entry, f"error: {detail}")
-                if not entry.live:
-                    continue
-                # Exited without a message left in the pipe: the slot died.
-                if not entry.process.is_alive():
-                    code = entry.process.exitcode
-                    entry.process.join()
-                    queue.release(
-                        entry.slot,
-                        f"crash: worker process died with exit code {code}",
-                        charge_cell=False,
-                    )
-                    worker_fault(entry, f"crash: exit code {code}")
-                    progressed = True
-                    continue
-                # Grant work to an idle slot (or stop it when nothing is left).
-                if entry.idle and entry.slot not in queue.leases:
-                    lease = queue.next_lease(entry.slot, time.monotonic())
-                    if lease is not None:
-                        entry.idle = False
-                        entry.conn.send(
-                            (
-                                "run",
-                                (lease.eps, lease.m, lease.rep, lease.seed),
-                                lease.attempt,
-                            )
-                        )
-                        progressed = True
-
-            now = time.monotonic()
-            # Hard per-cell timeout: the cell is charged, like the static path.
-            for lease in queue.overdue(now):
-                entry = slots[lease.worker]
-                cell_fault(
-                    entry, "timeout: cell exceeded its timeout; worker terminated"
-                )
-                if entry.process is not None:
-                    _terminate(entry.process)
-                    entry.conn.close()
-                    entry.process = None
-                    entry.conn = None
-                    spawn(entry)
-            # Soft lease expiry: missed heartbeats — the *slot* is charged.
-            for lease in queue.expired(now):
-                if lease.worker not in queue.leases:
-                    continue  # already handled above this tick
-                entry = slots[lease.worker]
-                queue.release(
-                    entry.slot,
-                    "expired: lease deadline passed without a heartbeat",
-                    charge_cell=False,
-                )
-                if entry.process is not None:
-                    _terminate(entry.process)
-                worker_fault(entry, "expired: missed heartbeats")
-
-            if not progressed:
-                time.sleep(_POLL_INTERVAL)
-
-        # Drained: stop idle workers gracefully, cut stragglers loose
-        # (in-flight speculative losers — their rows are already accepted).
-        for entry in slots:
-            if entry.process is None:
-                continue
-            if entry.idle:
-                try:
-                    entry.conn.send(("stop",))
-                except (OSError, BrokenPipeError):  # pragma: no cover
-                    pass
-        deadline = time.monotonic() + 1.0
-        for entry in slots:
-            if entry.process is not None and entry.idle:
-                entry.process.join(max(0.0, deadline - time.monotonic()))
-        _terminate_all([p for p in all_processes() if p.is_alive()])
-        for entry in slots:
-            if entry.conn is not None:
-                entry.conn.close()
-
-        manifest.cells_completed = len(completed) - manifest.cells_replayed
-        manifest.speculated = queue.speculated
-        if adaptive is not None:
-            manifest.cells_skipped = adaptive.skipped
-        journal_stats(interrupted=False)
-        if journal is not None:
-            journal.record_seal()
-    except KeyboardInterrupt:
-        _terminate_all(all_processes())
-        for entry in slots:
-            if entry.conn is not None:
-                entry.conn.close()
-        manifest.speculated = queue.speculated
-        if adaptive is not None:
-            manifest.cells_skipped = adaptive.skipped
-        journal_stats(interrupted=True)
-        partial = _assemble(spec, cells, completed, manifest, journal, cache_totals)
-        raise SweepInterrupted(partial) from None
-    except BaseException:
-        _terminate_all(all_processes())
-        for entry in slots:
-            if entry.conn is not None:
-                entry.conn.close()
-        raise
-    finally:
-        if journal is not None:
-            journal.close()
-
-    return _assemble(spec, cells, completed, manifest, journal, cache_totals)
 
 
 __all__ = [

@@ -69,10 +69,11 @@ class ExecutionPolicy:
     The default policy is the serial in-process path (cheapest for small
     grids and interactive use).  Setting any multiprocess-only field —
     ``parallel``, ``workers``, ``timeout``, ``journal``, ``resume``,
-    ``shards`` (> 1), ``chaos`` or ``interrupt_after`` — routes execution
-    through the fault-tolerant scheduler (persistent worker slots,
-    retries, quarantine, checkpoint journal).  ``retries``/``backoff``
-    only apply on that path.
+    ``shards`` (> 1), ``chaos``, ``worker_chaos``, ``adaptive_reps`` or
+    ``interrupt_after`` — routes execution through the fault-tolerant
+    scheduler (persistent worker slots leasing cells from one queue,
+    heartbeats, retries, quarantine, checkpoint journal).  The retry,
+    lease and speculation fields only apply on that path.
     """
 
     #: Force the fault-tolerant multiprocess scheduler even with defaults
@@ -116,39 +117,28 @@ class ExecutionPolicy:
     #: fallback for unsupported algorithms).  See
     #: :mod:`repro.engine.backend` and ``docs/engine_backends.md``.
     backend: str = "auto"
-    #: Run the immediate-model batch kernels through the optional
-    #: numba-jitted inner loop (:mod:`repro.engine.jit`): exports
-    #: ``REPRO_NUMBA=1`` for the duration of the sweep so worker
-    #: processes inherit it.  Falls back loudly
-    #: (:class:`~repro.engine.backend.BackendFallbackWarning`) when numba
-    #: is not installed — results are identical either way.
-    jit: bool = False
-    #: Pull-based elastic scheduler (:mod:`repro.workloads.elastic`):
-    #: persistent workers lease cells from a shared queue, heartbeats
-    #: separate slow workers from hung ones, dead workers are respawned
-    #: (then quarantined) and their leases re-dispatched.
-    elastic: bool = False
-    #: With ``elastic``: speculatively re-execute straggler cells once
-    #: the queue runs dry (first verified result wins; duplicates are
-    #: asserted bit-identical).
+    #: When nothing is ready to lease, speculatively re-execute straggler
+    #: cells (first verified result wins; duplicates are asserted
+    #: bit-identical).
     speculate: bool = True
-    #: With ``elastic``: issue repetitions lazily and skip the remainder
-    #: of a grid config once the bootstrap CI of every algorithm's mean
-    #: accepted load is tight (see ``adaptive_rel_tol``).
+    #: Issue repetitions lazily and skip the remainder of a grid config
+    #: once the bootstrap CI of every algorithm's mean accepted load is
+    #: tight (see ``adaptive_rel_tol``).
     adaptive_reps: bool = False
     #: Repetitions always executed per config before the CI is consulted.
     adaptive_min_reps: int = 2
     #: Relative CI halfwidth below which remaining reps are skipped.
     adaptive_rel_tol: float = 0.01
-    #: Worker heartbeat cadence in seconds (elastic only).
+    #: Worker heartbeat cadence in seconds.
     heartbeat_interval: float = 0.1
     #: Lease deadline in seconds; a lease whose worker misses heartbeats
     #: for this long is presumed dead and re-dispatched.  ``None`` uses
     #: 10x ``heartbeat_interval``.
     lease_timeout: float | None = None
-    #: Worker-slot failures tolerated before the slot is quarantined.
+    #: Worker-slot failures (crashes, missed heartbeats) tolerated before
+    #: the slot is quarantined.
     worker_max_failures: int = 3
-    #: Worker-level fault-injection plan (tests only; implies elastic).
+    #: Worker-level fault-injection plan (tests only; local slots only).
     worker_chaos: "WorkerChaosPlan | None" = None
     #: Remote elastic execution (:mod:`repro.workloads.remote`): a
     #: ``hosts.json`` registry path or a tuple of
@@ -221,11 +211,6 @@ class ExecutionPolicy:
             raise ValueError(
                 f"adaptive_rel_tol must be positive, got {self.adaptive_rel_tol}"
             )
-        if not self.elastic:
-            if self.adaptive_reps:
-                raise ValueError("adaptive_reps=True requires elastic=True")
-            if self.worker_chaos is not None:
-                raise ValueError("worker_chaos requires elastic=True")
         if self.host_max_failures < 1:
             raise ValueError(
                 f"host_max_failures must be >= 1, got {self.host_max_failures}"
@@ -239,7 +224,7 @@ class ExecutionPolicy:
                 raise ValueError("host_chaos requires hosts")
         else:
             if self.worker_chaos is not None:
-                raise ValueError("worker_chaos is slot-level (local elastic); "
+                raise ValueError("worker_chaos is slot-level (local workers); "
                                  "use host_chaos with hosts")
             if self.adaptive_reps:
                 raise ValueError("adaptive_reps is not supported with hosts")
@@ -256,7 +241,6 @@ class ExecutionPolicy:
         """True when any field demands the fault-tolerant scheduler."""
         return (
             self.parallel
-            or self.elastic
             or self.hosts is not None
             or self.workers is not None
             or self.timeout is not None
@@ -264,6 +248,8 @@ class ExecutionPolicy:
             or self.resume
             or self.sharded
             or self.chaos is not None
+            or self.worker_chaos is not None
+            or self.adaptive_reps
             or self.interrupt_after is not None
         )
 
@@ -327,42 +313,6 @@ def execute_sweep(
     policy = policy if policy is not None else ExecutionPolicy()
     algorithm_kwargs = algorithm_kwargs or {}
     cache = policy.resolve_cache()
-    if policy.jit:
-        from repro.engine import jit as _jit
-
-        if not _jit.numba_available():
-            import warnings
-
-            from repro.engine.backend import BackendFallbackWarning
-
-            warnings.warn(
-                BackendFallbackWarning(
-                    "ExecutionPolicy(jit=True) requests the numba-jitted "
-                    "batch kernel but numba is not installed; the sweep "
-                    "runs on the NumPy kernel instead (results are "
-                    "identical, throughput is not)"
-                ),
-                stacklevel=2,
-            )
-        prior = os.environ.get(_jit.JIT_ENV)
-        os.environ[_jit.JIT_ENV] = "1"
-        try:
-            return _execute_with_policy(spec, policy, algorithm_kwargs, cache)
-        finally:
-            if prior is None:
-                os.environ.pop(_jit.JIT_ENV, None)
-            else:
-                os.environ[_jit.JIT_ENV] = prior
-    return _execute_with_policy(spec, policy, algorithm_kwargs, cache)
-
-
-def _execute_with_policy(
-    spec: SweepSpec,
-    policy: ExecutionPolicy,
-    algorithm_kwargs: dict[str, dict[str, Any]],
-    cache: BracketCache | None,
-) -> ResilientSweepResult:
-    """The policy dispatch body of :func:`execute_sweep` (post jit setup)."""
     if policy.needs_processes:
         cells = None
         shard = None
@@ -399,15 +349,14 @@ def _execute_with_policy(
                 handshake_timeout=policy.handshake_timeout,
                 local_fallback=policy.local_fallback,
             )
-        elif policy.elastic:
-            from repro.workloads.elastic import _execute_elastic
-
-            result = _execute_elastic(
+        else:
+            result = _execute_resilient(
                 spec,
                 algorithm_kwargs,
                 max_workers=policy.workers,
                 timeout=policy.timeout,
                 max_retries=policy.retries,
+                backoff=policy.backoff,
                 journal_path=policy.journal,
                 resume=policy.resume,
                 salvage=policy.salvage,
@@ -425,24 +374,6 @@ def _execute_with_policy(
                 adaptive_min_reps=policy.adaptive_min_reps,
                 adaptive_rel_tol=policy.adaptive_rel_tol,
                 worker_max_failures=policy.worker_max_failures,
-            )
-        else:
-            result = _execute_resilient(
-                spec,
-                algorithm_kwargs,
-                max_workers=policy.workers,
-                timeout=policy.timeout,
-                max_retries=policy.retries,
-                backoff=policy.backoff,
-                journal_path=policy.journal,
-                resume=policy.resume,
-                salvage=policy.salvage,
-                chaos=policy.chaos,
-                interrupt_after=policy.interrupt_after,
-                cache=cache,
-                cells=cells,
-                shard=shard,
-                backend=policy.backend,
             )
     else:
         result = _execute_serial(spec, algorithm_kwargs, cache, policy.backend)

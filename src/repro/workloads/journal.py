@@ -270,8 +270,8 @@ class JournalState:
     #: CRC failed are quarantined and never reach ``completed``).
     integrity_by_seed: dict[int, str] = field(default_factory=dict)
     #: per-cell execution provenance (worker slot, attempt, heartbeats,
-    #: lease duration, speculative flag) for journals written by the
-    #: elastic scheduler; empty for push-scheduler journals.
+    #: lease duration, speculative flag) for journals written by a lease
+    #: scheduler; empty for older static-scheduler journals.
     provenance: dict[int, dict[str, Any]] = field(default_factory=dict)
     #: corrupt lines quarantined during a salvage load (empty when clean).
     corruption: CorruptionReport | None = None
@@ -843,11 +843,13 @@ class SweepJournal:
             "epsilon": float(eps),
             "machines": int(m),
             "repetition": int(rep),
-            "rows": payloads,
-            "crc": row_crc(int(seed), payloads),
         }
         if provenance is not None:
+            # Ahead of the rows, so every cell line still ends in its
+            # checksummed payload and the row CRC.
             record["prov"] = dict(provenance)
+        record["rows"] = payloads
+        record["crc"] = row_crc(int(seed), payloads)
         self._append(record)
 
     def record_failure(self, failure: dict[str, Any]) -> None:

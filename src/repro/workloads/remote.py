@@ -522,7 +522,7 @@ def _execute_remote(
 ) -> ResilientSweepResult:
     """Remote pull-scheduler behind ``ExecutionPolicy(hosts=...)``.
 
-    Mirrors :func:`repro.workloads.elastic._execute_elastic` — same
+    Mirrors :func:`repro.workloads.resilient._execute_resilient` — same
     journal preparation, seed-collision checks, row validation, result
     assembly — but serves the :class:`CellQueue` to worker processes on
     registry hosts over the wire protocol.  The failure-domain ladder:
@@ -955,7 +955,7 @@ def _execute_remote(
 
             now = time.monotonic()
             # Hard per-cell timeout: the cell is charged; the worker is
-            # torn down and the channel relaunched (same as local elastic).
+            # torn down and the channel relaunched (same as a local slot).
             for lease in queue.overdue(now):
                 chan = channels.get(lease.worker)
                 if chan is None:

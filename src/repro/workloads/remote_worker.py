@@ -21,7 +21,7 @@ Design notes:
   visible.
 * Injected chaos: the controller ships cell-level
   :class:`~repro.testing.chaos.ChaosPlan` faults in ``init`` (applied
-  exactly like the local elastic worker), a ``slow`` delay per cell for
+  exactly like a local worker slot), a ``slow`` delay per cell for
   slow-host emulation, and a per-lease ``die`` directive for dead-host
   emulation (``os._exit``, as a machine loss would appear).
 """

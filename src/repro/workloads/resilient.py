@@ -9,11 +9,13 @@ discarded every completed cell — this runner treats cell failure as a
 normal event:
 
 * cells run in ``workers`` **persistent worker slots**, forked once per
-  sweep and fed leases over a pipe, with an optional per-cell
-  **timeout**; a slot whose worker crashes or hangs past its timeout is
-  terminated (not waited on) and respawned;
+  sweep and fed leases from one :class:`~repro.workloads.elastic.CellQueue`
+  over a pipe; workers **heartbeat** while they compute, so a slow slot
+  keeps its lease while a silent one loses it, and a slot whose worker
+  crashes or passes its **timeout** is terminated and respawned;
 * failed cells are **retried** with exponential backoff, up to
-  ``max_retries`` times;
+  ``max_retries`` times, and idle slots **speculatively** re-run
+  straggler cells when nothing is ready to lease;
 * cells that exhaust their budget are **quarantined** and reported in a
   structured :class:`FailureManifest` — the sweep still returns every
   completed row (graceful degradation) instead of throwing them away;
@@ -39,22 +41,21 @@ import math
 import multiprocessing as mp
 import os
 import pickle
+import threading
 import time
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Any
 
-from repro.baselines.registry import run_algorithm
 from repro.core.guarantees import guarantee_for
+from repro.engine.backend import SimulationRequest, run_simulations
 from repro.offline.cache import BracketCache, CacheStats
 from repro.workloads.journal import SweepJournal, spec_fingerprint
 from repro.workloads.sweep import SweepRow, SweepSpec, cell_bracket
-from repro.workloads.transport import decorrelated_delay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.testing.chaos import ChaosPlan
+    from repro.testing.chaos import ChaosPlan, WorkerChaosPlan
 
 #: Grace period between SIGTERM and SIGKILL when reaping a worker.
 _KILL_GRACE = 0.5
@@ -105,7 +106,7 @@ class CellFailure:
 
 @dataclass(frozen=True)
 class WorkerFailure:
-    """One quarantined worker *slot* (elastic mode), failure by failure.
+    """One quarantined worker *slot*, failure by failure.
 
     Cell failures quarantine cells; worker failures quarantine the slot —
     a host/process position that keeps crashing, hanging or missing
@@ -168,7 +169,7 @@ class FailureManifest:
     #: cells replayed from a checkpoint journal instead of re-executed.
     cells_replayed: int = 0
     #: worker slots quarantined after exhausting their failure budget
-    #: (elastic mode only; the pool shrinks gracefully to a floor of 1).
+    #: (the pool shrinks gracefully to a floor of 1).
     worker_failures: list[WorkerFailure] = field(default_factory=list)
     #: speculative duplicate executions launched during the end-game.
     speculated: int = 0
@@ -261,33 +262,7 @@ def run_cell(
     cache: BracketCache | None = None,
 ) -> list[SweepRow]:
     """Evaluate one grid cell for every algorithm (worker-side)."""
-    seed = spec.cell_seed(eps, m, rep)
-    instance = spec.workload(m, eps, seed)
-    bracket = cell_bracket(spec, instance, cache)
-    rows = []
-    for name in spec.algorithms:
-        result = run_algorithm(
-            name,
-            instance,
-            record_events=spec.record_events,
-            **algorithm_kwargs.get(name, {}),
-        )
-        rows.append(
-            SweepRow(
-                epsilon=eps,
-                machines=m,
-                repetition=rep,
-                algorithm=name,
-                accepted_load=result.accepted_load,
-                accepted_count=result.accepted_count,
-                n_jobs=len(instance),
-                opt_lower=bracket.lower,
-                opt_upper=bracket.upper,
-                opt_exact=bracket.exact,
-                guarantee=guarantee_for(name, eps, m),
-            )
-        )
-    return rows
+    return run_cells(spec, [(eps, m, rep)], algorithm_kwargs, cache)[0]
 
 
 def run_cells(
@@ -299,21 +274,14 @@ def run_cells(
 ) -> list[list[SweepRow]]:
     """Evaluate several grid cells, optionally through the batch backend.
 
-    With ``backend="scalar"`` this is exactly ``[run_cell(...) for cell in
-    cells]``.  Otherwise all of the group's simulations are routed through
-    :func:`repro.engine.backend.run_simulations` in one call, so compatible
-    cells (same algorithm, machine count and job count) step through the
-    structure-of-arrays kernel together.  Rows are bit-identical either way
-    — the backend seam guarantees it — so journals, resumes and shard
-    merges are unaffected by the backend choice.
+    All of the cells' simulations are routed through
+    :func:`repro.engine.backend.run_simulations` in one call, so with a
+    non-scalar backend compatible cells (same algorithm, machine count and
+    job count) step through the structure-of-arrays kernel together.  Rows
+    are bit-identical either way — the backend seam guarantees it — so
+    journals, resumes and shard merges are unaffected by the backend
+    choice.
     """
-    if backend == "scalar":
-        return [
-            run_cell(spec, eps, m, rep, algorithm_kwargs, cache)
-            for eps, m, rep in cells
-        ]
-    from repro.engine.backend import SimulationRequest, run_simulations
-
     instances = []
     brackets = []
     for eps, m, rep in cells:
@@ -330,14 +298,12 @@ def run_cells(
         for instance in instances
         for name in spec.algorithms
     ]
-    results = run_simulations(requests, backend=backend)
+    results = iter(run_simulations(requests, backend=backend))
     rows_per_cell: list[list[SweepRow]] = []
-    i = 0
     for (eps, m, rep), instance, bracket in zip(cells, instances, brackets):
         rows = []
         for name in spec.algorithms:
-            result = results[i]
-            i += 1
+            result = next(results)
             rows.append(
                 SweepRow(
                     epsilon=eps,
@@ -424,25 +390,53 @@ def validate_cell_rows(
 # ---------------------------------------------------------------------------
 
 
+def _heartbeat_loop(send, active: list, interval: float) -> None:
+    """Worker-side heartbeat thread: beat for the lease in ``active[0]``.
+
+    One thread per worker: a thread per lease costs two blocking handoffs
+    (~2 ms a lease on busy cores).  A beat racing its answer is ignored.
+    """
+    while True:
+        time.sleep(interval)
+        seed = active[0]
+        if seed is not None:
+            try:
+                send(("heartbeat", seed))
+            except (OSError, ValueError):  # pragma: no cover - parent went away
+                return
+
+
 def _slot_worker(
     conn,
     parent_end,
+    slot: int,
     spec: SweepSpec,
     algorithm_kwargs: dict[str, dict[str, Any]],
     chaos: "ChaosPlan | None",
-    cache: BracketCache | None = None,
+    worker_chaos: "WorkerChaosPlan | None",
+    heartbeat_interval: float,
+    cache: BracketCache | None,
 ) -> None:
     """One persistent worker slot: answer leases until the pipe closes.
 
     A lease is ``(cells, backend, attempt)``: a group lease of up to
     ``_GROUP_CELLS`` cells on the sweep's backend, or one single-cell
     attempt on the scalar backend (the only kind a chaos plan faults).
-    Each lease is answered with ``("ok", [rows, ...], cache_stats)`` — one
-    row list per cell, in order — or ``("error", detail, None)``.  A crash
-    (or an injected one) answers nothing: the parent sees the dead process
-    and respawns the slot.  The bracket-cache counters are zeroed at the
-    start of every lease, so ``cache_stats`` is that lease's delta and a
-    failed lease's lookups are never counted.
+    Every message names the lease by the seed of its first cell.  While a
+    lease computes, a heartbeat thread sends ``("heartbeat", seed)`` every
+    *heartbeat_interval* seconds.  Each lease is answered with
+    ``("ok", seed, [rows, ...], cache_stats)`` — one row list per cell,
+    in order — or ``("error", seed, detail, exiting)``, where ``exiting``
+    means the worker stops serving after this answer (the cell raised
+    ``SystemExit`` or was interrupted).  A crash (or an injected one)
+    answers nothing: the parent sees the dead process.  The bracket-cache
+    counters are zeroed at the start of every lease, so ``cache_stats`` is
+    that lease's delta and a failed lease's lookups are never counted.
+
+    ``worker_chaos`` faults this slot by its index: a slow slot sleeps
+    inside the heartbeat window (slow, not hung), a dead slot hard-exits
+    on its Nth lease, a lost-heartbeat slot never beats, and a
+    duplicating slot answers every successful lease twice.
 
     ``parent_end`` is the parent's end of this slot's pipe, inherited
     through ``fork``; the worker closes its copy at once so that the
@@ -450,83 +444,76 @@ def _slot_worker(
     seen here as EOF.
     """
     parent_end.close()
+    lock = threading.Lock()
+
+    def send(message: tuple) -> None:
+        with lock:  # the heartbeat thread shares the pipe
+            conn.send(message)
+
+    active: list[int | None] = [None]  # seed of the lease being computed
+    if worker_chaos is None or not worker_chaos.suppresses_heartbeat(slot):
+        threading.Thread(
+            target=_heartbeat_loop,
+            args=(send, active, heartbeat_interval),
+            daemon=True,
+        ).start()
+    leases = 0
     try:
         while True:
             cells, backend, attempt = conn.recv()
+            seed = spec.cell_seed(*cells[0])
+            leases += 1
+            if worker_chaos is not None and worker_chaos.dies_on_cell(slot, leases):
+                from repro.testing.chaos import CHAOS_EXIT_CODE
+
+                os._exit(CHAOS_EXIT_CODE)
             if cache is not None:
                 cache.stats = CacheStats()
+            active[0] = seed
+            exiting = False
             try:
+                if worker_chaos is not None:  # a slow slot: beats keep flowing
+                    time.sleep(worker_chaos.delay_for(slot))
                 fault = None
                 if chaos is not None:
-                    fault = chaos.fault_for(spec.cell_seed(*cells[0]), attempt)
+                    fault = chaos.fault_for(seed, attempt)
                     chaos.trigger(fault)  # may _exit, hang, or raise
                 rows = run_cells(spec, cells, algorithm_kwargs, cache, backend=backend)
                 if fault == "corrupt":
                     rows = [chaos.corrupt_rows(rows[0])]
                 stats = None if cache is None else cache.stats.as_dict()
-                conn.send(("ok", rows, stats))
+                answer: tuple = ("ok", seed, rows, stats)
             except BaseException as exc:  # noqa: BLE001 - must cross the process boundary
-                conn.send(("error", f"{type(exc).__name__}: {exc}", None))
-                if not isinstance(exc, Exception):
-                    return  # interrupted or exiting: answer, then stop serving
+                exiting = not isinstance(exc, Exception)
+                answer = ("error", seed, f"{type(exc).__name__}: {exc}", exiting)
+            active[0] = None
+            send(answer)
+            if exiting:
+                return  # interrupted or exiting: answer, then stop serving
+            if worker_chaos is not None and worker_chaos.duplicates_result(slot):
+                send(answer)
     except (EOFError, OSError, KeyboardInterrupt):  # sweep over or interrupted
         pass
     finally:
         conn.close()
 
 
-#: Cells per group lease when the resilient scheduler may batch.
+#: Cells per group lease when the scheduler may batch.
 _GROUP_CELLS = 8
-
-
-@dataclass
-class _Attempt:
-    """One scheduled execution of a cell (or of a group lease of cells)."""
-
-    eps: float
-    m: int
-    rep: int
-    seed: int
-    attempt: int  # 1-based
-    ready_at: float  # monotonic time before which this must not launch
-    history: tuple[str, ...] = ()
-    #: group lease: (eps, m, rep, seed) per member; ``None`` = single cell.
-    group: tuple[tuple[float, int, int, int], ...] | None = None
-
 
 @dataclass
 class _Slot:
-    """Parent-side handle of one persistent worker process."""
+    """Parent-side handle of one worker slot across process generations."""
 
-    process: mp.process.BaseProcess
-    conn: Any
-    #: the lease in flight, ``None`` while idle.
-    task: _Attempt | None = None
-    deadline: float | None = None
-
-
-def _collect(slot: _Slot, ready: list[Any], now: float) -> tuple[str, Any, Any] | None:
-    """Outcome of a busy slot after a wait; ``None`` while still running.
-
-    Outcomes: ``("ok", rows, cache_stats)``, ``("error", detail, None)``,
-    ``("crash", detail, None)``, ``("timeout", detail, None)``.  A crash
-    or timeout leaves the slot's process reaped; the caller drops the slot.
-    """
-    if slot.conn in ready:
-        try:
-            return slot.conn.recv()
-        except (EOFError, OSError):
-            _terminate(slot.process)
-            return ("crash", "worker closed the pipe without a result", None)
-    if slot.process.sentinel in ready:
-        # Exited without answering: died before (or while) reporting.
-        _terminate(slot.process)
-        code = slot.process.exitcode
-        return ("crash", f"worker process died with exit code {code}", None)
-    if slot.deadline is not None and now >= slot.deadline:
-        _terminate(slot.process)
-        return ("timeout", "cell exceeded its timeout; worker terminated", None)
-    return None
+    index: int
+    process: mp.process.BaseProcess | None = None
+    conn: Any = None
+    failures: int = 0
+    history: tuple[str, ...] = ()
+    quarantined: bool = False
+    #: monotonic time of the slot's last message (or of its fork).
+    last_activity: float = 0.0
+    cells_done: int = 0
 
 
 def _terminate(
@@ -574,7 +561,7 @@ def _terminate_all(
 
 
 # ---------------------------------------------------------------------------
-# shared scheduler plumbing (push scheduler here, pull scheduler in elastic)
+# shared scheduler plumbing (local scheduler here, remote scheduler)
 # ---------------------------------------------------------------------------
 
 
@@ -606,8 +593,8 @@ def prepare_journal(
 ) -> tuple[SweepJournal | None, dict[int, list[SweepRow]]]:
     """Open (or create) the checkpoint journal and replay completed cells.
 
-    Shared by the push scheduler here and the pull scheduler in
-    :mod:`repro.workloads.elastic`, so both modes get identical journal
+    Shared by the local scheduler here and the remote one in
+    :mod:`repro.workloads.remote`, so both get identical journal
     creation, resume validation, salvage and replay semantics.  Returns
     ``(journal, completed)`` where ``completed`` maps cell seed to the
     rows replayed from disk (restricted to *cells* — a merged journal may
@@ -697,128 +684,272 @@ def _execute_resilient(
     journal_path: str | os.PathLike[str] | None = None,
     resume: bool = False,
     chaos: "ChaosPlan | None" = None,
+    worker_chaos: "WorkerChaosPlan | None" = None,
     interrupt_after: int | None = None,
     cache: BracketCache | None = None,
     cells: list[tuple[float, int, int]] | None = None,
     shard: tuple[int, int] | None = None,
     salvage: bool = False,
     backend: str = "scalar",
+    heartbeat_interval: float = 0.1,
+    lease_timeout: float | None = None,
+    speculate: bool = True,
+    adaptive_reps: bool = False,
+    adaptive_min_reps: int = 2,
+    adaptive_rel_tol: float = 0.01,
+    worker_max_failures: int = 3,
 ) -> ResilientSweepResult:
     """Scheduler core behind :func:`repro.workloads.execute.execute_sweep`.
 
-    Parameters beyond the classic runner:
+    Every lease comes from one :class:`repro.workloads.elastic.CellQueue`
+    and runs in one of ``workers`` persistent slots.  The keyword
+    arguments are the :class:`~repro.workloads.execute.ExecutionPolicy`
+    fields of the same meaning (``max_workers`` is ``workers``,
+    ``max_retries`` is ``retries``, ``journal_path`` is ``journal``), plus:
 
-    ``timeout``
-        per-cell wall-clock budget in seconds; a cell that exceeds it is
-        terminated and counted as a ``timeout`` failure (then retried).
-    ``max_retries``
-        extra attempts per cell after the first, each delayed by a
-        decorrelated-jittered exponential backoff bounded by
-        ``backoff * 2**(attempt-1)`` seconds (salted by the cell seed
-        under ``spec.base_seed``, so concurrent retries desynchronise
-        deterministically — see
-        :func:`repro.workloads.transport.decorrelated_delay`).
-    ``journal_path`` / ``resume``
-        checkpoint completed cells to an append-only JSONL journal; with
-        ``resume=True`` the journal is validated against the spec and its
-        completed cells are replayed from disk, bit-identically.
-    ``chaos``
-        a :class:`repro.testing.chaos.ChaosPlan` shipped to every worker
-        (fault-injection for tests; ``None`` in production).
-    ``interrupt_after``
-        testing hook: raise :class:`SweepInterrupted` — through the same
-        flush path as a real ``SIGINT`` — once this many *new* cells have
-        been journaled.
-    ``cache``
-        a :class:`repro.offline.cache.BracketCache` shared by every
-        worker.  Each worker slot reads and writes the shared on-disk
-        tier itself (atomic-rename writes make concurrent writers safe),
-        and the per-lease hit/miss counters of accepted leases are
-        aggregated into ``result.cache_stats``.
-    ``cells``
-        restrict execution to this subset of the grid (a shard produced
-        by :class:`repro.workloads.sharding.ShardPlan`); ``None`` runs
-        the full grid.  Cell seeds are unchanged — a sharded cell is
+    ``cells`` / ``shard``
+        restrict execution to one shard's cells (from
+        :class:`repro.workloads.sharding.ShardPlan`; ``None`` runs the
+        full grid) and stamp ``(shard_index, n_shards)`` into the
+        journal header.  Cell seeds are unchanged, so a sharded cell is
         bit-identical to the same cell in a single-host run.
-    ``shard``
-        ``(shard_index, n_shards)`` stamp written into (and validated
-        against) the journal header, so shard journals can never be
-        resumed under different shard flags or merged into the wrong run.
-    ``salvage``
-        with ``resume=True``, repair a journal damaged mid-file (bit
-        flips, failed transfers) instead of raising
-        :class:`~repro.workloads.journal.JournalIntegrityError`: corrupt
-        records are quarantined, the file is rewritten clean, and the
-        affected cells are simply re-executed.
-
     ``backend``
-        kernel backend for the simulations (see
-        :mod:`repro.engine.backend`).  With a non-scalar backend — and no
-        chaos plan or interrupt hook — pending cells are dispatched as
-        *group leases* of up to ``_GROUP_CELLS`` cells per worker so the
-        batch kernel amortises across compatible cells.  A failed lease is
-        demoted to independent per-cell scalar attempts, so retry
-        semantics, validation and journaling stay per-cell.
+        with a non-scalar backend — and no fault plan, interrupt hook or
+        adaptive repetitions — cells are leased in *groups* of up to
+        ``_GROUP_CELLS`` so the batch kernel amortises across compatible
+        cells.  A failed group is demoted to per-cell scalar leases, so
+        retries, validation and journaling stay per-cell.
+
+    Failures are charged where they belong.  An error, corrupt rows or a
+    hard ``timeout`` charge the cell's retry budget (retries wait a
+    decorrelated-jitter backoff under ``spec.base_seed``).  Missed
+    heartbeats charge the slot and re-queue the cell for free.  A crash
+    charges both (the cell is retried at once, on another slot), so a
+    cell that kills every worker it touches is quarantined like any
+    poison cell, and a slot over
+    ``worker_max_failures`` is quarantined (never the last one).  Winning
+    leases alone feed ``result.cache_stats``, and each journaled cell
+    carries its lease provenance outside the row CRC.
 
     Returns a :class:`ResilientSweepResult`; never raises for individual
     cell failures (see ``result.manifest``).
     """
+    # Imported here: the lease queue module imports this one.
+    from repro.workloads.elastic import LEASE_TIMEOUT_BEATS, CellQueue, _AdaptiveReps
+
     algorithm_kwargs = algorithm_kwargs or {}
     validate_sweep_pickles(spec, algorithm_kwargs)
+    if lease_timeout is None:
+        lease_timeout = LEASE_TIMEOUT_BEATS * heartbeat_interval
 
     cells = list(spec.cells()) if cells is None else list(cells)
-    check_seed_collisions(spec, cells)
+    cell_by_seed = dict(zip(check_seed_collisions(spec, cells), cells))
     manifest = FailureManifest(cells_total=len(cells))
     journal, completed = prepare_journal(
         spec, cells, journal_path, resume=resume, shard=shard, salvage=salvage
     )
     manifest.cells_replayed = len(completed)
 
-    todo = [
-        (eps, m, rep, seed)
-        for eps, m, rep in cells
-        if (seed := spec.cell_seed(eps, m, rep)) not in completed
-    ]
-    grouping = backend != "scalar" and chaos is None and interrupt_after is None
-    pending: deque[_Attempt] = deque()
-    if grouping:
-        for lo in range(0, len(todo), _GROUP_CELLS):
-            members = tuple(todo[lo : lo + _GROUP_CELLS])
-            eps, m, rep, seed = members[0]
-            pending.append(
-                _Attempt(eps, m, rep, seed, attempt=1, ready_at=0.0, group=members)
-            )
-    else:
-        pending.extend(
-            _Attempt(eps, m, rep, seed, attempt=1, ready_at=0.0)
-            for eps, m, rep, seed in todo
+    adaptive: _AdaptiveReps | None = None
+    if adaptive_reps:
+        adaptive = _AdaptiveReps(
+            spec, cells, min_reps=adaptive_min_reps, rel_tol=adaptive_rel_tol
         )
-    workers = max_workers or min(len(pending) or 1, os.cpu_count() or 2)
+        todo = [(*cell, spec.cell_seed(*cell)) for cell in adaptive.initial_cells(completed)]
+    else:
+        todo = [(*cell, seed) for seed, cell in cell_by_seed.items() if seed not in completed]
+    grouping = (
+        backend != "scalar"
+        and chaos is None
+        and worker_chaos is None
+        and interrupt_after is None
+        and adaptive is None
+    )
+    queue = CellQueue(
+        todo,
+        retries=max_retries,
+        lease_timeout=lease_timeout,
+        timeout=timeout,
+        speculate=speculate,
+        group_cells=_GROUP_CELLS if grouping else 1,
+        backoff=backoff,
+        jitter_seed=spec.base_seed,
+    )
+    workers = max_workers or min(len(queue.pending) or 1, os.cpu_count() or 2)
     ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
-    slots: list[_Slot] = []
+    slots = [_Slot(index) for index in range(workers)]
     spawned = 0
-    leases = 0
+    heartbeats = 0
     new_cells = 0
     cache_totals = CacheStats() if cache is not None else None
     started = time.monotonic()
 
-    def spawn() -> _Slot:
+    def spawn(slot: _Slot) -> None:
         nonlocal spawned
         parent_conn, child_conn = ctx.Pipe(duplex=True)
-        process = ctx.Process(
+        slot.process = ctx.Process(
             target=_slot_worker,
-            args=(child_conn, parent_conn, spec, algorithm_kwargs, chaos, cache),
+            args=(
+                child_conn,
+                parent_conn,
+                slot.index,
+                spec,
+                algorithm_kwargs,
+                chaos,
+                worker_chaos,
+                heartbeat_interval,
+                cache,
+            ),
             daemon=True,
         )
-        process.start()
+        slot.process.start()
         child_conn.close()
+        slot.conn = parent_conn
         spawned += 1
-        slot = _Slot(process, parent_conn)
-        slots.append(slot)
-        return slot
+        slot.last_activity = time.monotonic()
 
-    def partial_result() -> ResilientSweepResult:
-        return _assemble(spec, cells, completed, manifest, journal, cache_totals)
+    def drop(slot: _Slot, fault: str | None = None) -> None:
+        """Reap *slot*'s process (respawned on demand); *fault* charges the slot."""
+        _terminate(slot.process)
+        slot.conn.close()
+        slot.process = slot.conn = None
+        if fault is None:
+            return
+        slot.failures += 1
+        slot.history += (fault,)
+        if slot.failures > worker_max_failures and any(
+            not other.quarantined for other in slots if other is not slot
+        ):
+            slot.quarantined = True
+            manifest.worker_failures.append(
+                WorkerFailure(
+                    slot=slot.index,
+                    failures=slot.failures,
+                    detail=fault,
+                    history=slot.history,
+                )
+            )
+
+    def lost(slot: _Slot, detail: str) -> None:
+        """The slot's process died: its lease's cell and the slot both pay.
+
+        The cell is retried at once, on another slot: the backoff spreads
+        out retries of failing cells, and waiting here would only stretch
+        the pool's tail.
+        """
+        lease = queue.release(slot.index, detail, crashed=True, now=time.monotonic())
+        drop(slot, None if lease is None else detail)
+
+    def busy_slots() -> list[_Slot]:
+        return [slot for slot in slots if slot.index in queue.leases]
+
+    def grant(now: float) -> None:
+        """Lease ready work to idle slots, forking a slot only when needed."""
+        while True:
+            idle = [s for s in slots if not s.quarantined and s.index not in queue.leases]
+            if not idle:
+                return
+            slot = next((s for s in idle if s.process is not None), idle[0])
+            lease = queue.next_lease(slot.index, now)
+            if lease is None:
+                return
+            if slot.process is None:
+                spawn(slot)
+            if lease.group is not None:
+                message = ([cell[:3] for cell in lease.group], backend, lease.attempt)
+            else:
+                message = ([(lease.eps, lease.m, lease.rep)], "scalar", lease.attempt)
+            try:
+                slot.conn.send(message)
+            except OSError:
+                pass  # died while idle: its sentinel reports the crash
+
+    def record_win(slot: _Slot, lease, cell: tuple, rows: list[SweepRow]) -> None:
+        nonlocal new_cells
+        eps, m, rep, seed = cell
+        completed[seed] = rows
+        manifest.cells_completed += 1
+        slot.cells_done += 1
+        if lease.attempt > 1 or lease.history:
+            manifest.recovered += 1
+        if journal is not None:
+            journal.record_cell(
+                seed,
+                eps,
+                m,
+                rep,
+                rows,
+                provenance={
+                    "worker": slot.index,
+                    "attempt": lease.attempt,
+                    "heartbeats": lease.heartbeats,
+                    "lease_ms": round((time.monotonic() - lease.granted_at) * 1e3, 3),
+                    "speculative": lease.speculative,
+                },
+            )
+        new_cells += 1
+        if adaptive is not None:
+            fresh = adaptive.on_win(eps, m, rep, rows)
+            queue.add_cells([(*c, spec.cell_seed(*c)) for c in fresh])
+        if interrupt_after is not None and new_cells >= interrupt_after and not queue.done:
+            # Simulated hard kill: in-flight workers are abandoned exactly
+            # as a real SIGINT would.
+            raise KeyboardInterrupt
+
+    def answer(slot: _Slot, message: tuple, now: float) -> None:
+        """Apply one worker message to the queue."""
+        nonlocal heartbeats
+        kind, seed = message[0], message[1]
+        lease = queue.leases.get(slot.index)
+        current = lease is not None and lease.seed == seed
+        if kind == "heartbeat":
+            if current:
+                heartbeats += 1
+                queue.heartbeat(slot.index, now)
+            return
+        if kind == "error":
+            _, _, detail, exiting = message
+            if current:
+                queue.release(slot.index, f"error: {detail}", now=now)
+            if exiting:
+                drop(slot)  # the worker stops serving after this answer
+            return
+        _, _, payload, worker_cache = message
+        if current and lease.group is not None:
+            good, bad = _split_group_payload(spec, lease.group, payload)
+            queue.complete_group(
+                slot.index,
+                {cell[3]: rows for cell, rows in good},
+                {cell[3]: problem for cell, problem in bad},
+                now,
+            )
+            if cache_totals is not None and worker_cache and good:
+                cache_totals.merge(worker_cache)
+            for cell, rows in good:
+                record_win(slot, lease, cell, rows)
+            return
+        rows = payload[0]
+        eps, m, rep = cell_by_seed[seed]
+        problem = validate_cell_rows(spec, eps, m, rep, rows)
+        if problem is not None:
+            if current:
+                queue.release(slot.index, f"corrupt: {problem}", now=now)
+            return  # a corrupt stale or duplicate copy just drops
+        outcome, won = queue.complete(slot.index, seed, rows)
+        if outcome == "win":
+            if cache_totals is not None and worker_cache:
+                cache_totals.merge(worker_cache)
+            record_win(slot, won, (eps, m, rep, seed), rows)
+
+    def settle_manifest() -> None:
+        manifest.retries = queue.retried
+        manifest.speculated = queue.speculated
+        if adaptive is not None:
+            manifest.cells_skipped = adaptive.skipped
+        for failure in queue.failures[len(manifest.failures) :]:
+            manifest.failures.append(failure)
+            if journal is not None:
+                journal.record_failure(failure.as_dict())
 
     def journal_stats(interrupted: bool) -> None:
         if journal is None:
@@ -827,189 +958,108 @@ def _execute_resilient(
             {
                 "wall_seconds": round(time.monotonic() - started, 6),
                 "interrupted": interrupted,
-                "scheduler": "static",
+                "scheduler": "local",  # older journals: "static" / "elastic"
                 "workers": workers,
                 "workers_spawned": spawned,
-                "leases": leases,
+                "leases": queue.granted - queue.speculated,
+                "speculated": queue.speculated,
+                "heartbeats": heartbeats,
+                # When each slot finished, counted from the sweep's start.
+                "worker_wall_seconds": [
+                    round(max(0.0, s.last_activity - started), 6) for s in slots
+                ],
+                "worker_cells": [s.cells_done for s in slots],
                 "cells_completed": manifest.cells_completed,
                 "cells_replayed": manifest.cells_replayed,
+                "cells_skipped": manifest.cells_skipped,
                 "recovered": manifest.recovered,
                 "retries": manifest.retries,
                 "quarantined": manifest.quarantined,
+                "workers_quarantined": manifest.workers_quarantined,
                 "cache": None if cache_totals is None else cache_totals.as_dict(),
             }
         )
 
     try:
-        while pending or any(slot.task is not None for slot in slots):
-            now = time.monotonic()
-            # Lease ready attempts to idle slots, forking a slot only when
-            # none is idle and the pool is below ``workers``.
-            while pending:
-                slot = next((s for s in slots if s.task is None), None)
-                if slot is None and len(slots) >= workers:
-                    break
-                launchable = next((t for t in pending if t.ready_at <= now), None)
-                if launchable is None:
-                    break
-                pending.remove(launchable)
-                if slot is None:
-                    slot = spawn()
-                if launchable.group is not None:
-                    lease = ([(e, mm, r) for e, mm, r, _ in launchable.group], backend)
-                    budget = None if timeout is None else timeout * len(launchable.group)
-                else:
-                    lease = ([(launchable.eps, launchable.m, launchable.rep)], "scalar")
-                    budget = timeout
-                try:
-                    slot.conn.send((*lease, launchable.attempt))
-                except OSError:
-                    # The slot died while idle (killed, or stopped after an
-                    # interrupt): drop it and offer the lease again.
-                    _terminate(slot.process)
-                    slot.conn.close()
-                    slots.remove(slot)
-                    pending.appendleft(launchable)
-                    continue
-                leases += 1
-                slot.task = launchable
-                slot.deadline = None if budget is None else now + budget
-
-            # Block until a slot answers or dies, a lease deadline passes,
-            # or (with a slot free) a backed-off attempt becomes ready.
-            busy = [slot for slot in slots if slot.task is not None]
-            wake = [slot.deadline for slot in busy if slot.deadline is not None]
-            if pending and (len(busy) < len(slots) or len(slots) < workers):
-                wake.append(min(t.ready_at for t in pending))
+        while not queue.done:
+            grant(time.monotonic())
+            # Block until a slot speaks or dies, a lease deadline passes,
+            # or (with a slot free) a backed-off cell becomes ready.
+            busy = busy_slots()
+            wake = [lease.deadline for lease in queue.leases.values()]
+            wake += [
+                lease.hard_deadline
+                for lease in queue.leases.values()
+                if lease.hard_deadline is not None
+            ]
+            if queue.pending and len(busy) < sum(not s.quarantined for s in slots):
+                wake.append(min(task.ready_at for task in queue.pending))
             ready = wait(
                 [slot.conn for slot in busy] + [slot.process.sentinel for slot in busy],
                 None if not wake else max(0.0, min(wake) - time.monotonic()),
             )
             now = time.monotonic()
             for slot in busy:
-                outcome = _collect(slot, ready, now)
-                if outcome is None:
-                    continue
-                task, slot.task = slot.task, None
-                if outcome[0] in ("crash", "timeout"):
-                    # The process is gone; a fresh slot replaces it on demand.
-                    slot.conn.close()
-                    slots.remove(slot)
-                status, payload, worker_cache = outcome
-                if task.group is not None:
-                    if status == "ok":
-                        good, bad = _split_group_payload(spec, task, payload)
-                        if cache_totals is not None and worker_cache and good:
-                            cache_totals.merge(worker_cache)
-                        for (g_eps, g_m, g_rep, g_seed), rows in good:
-                            completed[g_seed] = rows
-                            manifest.cells_completed += 1
-                            if journal is not None:
-                                journal.record_cell(g_seed, g_eps, g_m, g_rep, rows)
-                            new_cells += 1
-                        demote = [(member, detail) for member, detail in bad]
-                    else:
-                        demote = [
-                            (member, f"{status}: {payload}") for member in task.group
-                        ]
-                    # Demote failed lease members to independent per-cell
-                    # attempts with a fresh budget; the lease itself spends
-                    # no retries (each member's own failures count).
-                    for (g_eps, g_m, g_rep, g_seed), detail in demote:
-                        pending.append(
-                            _Attempt(
-                                g_eps,
-                                g_m,
-                                g_rep,
-                                g_seed,
-                                attempt=1,
-                                ready_at=time.monotonic()
-                                + decorrelated_delay(
-                                    backoff, 1, seed=spec.base_seed, salt=g_seed
-                                ),
-                                history=(f"group-lease {detail}",),
-                            )
-                        )
-                    continue
-                if status == "ok":
-                    payload = payload[0]
-                    problem = validate_cell_rows(spec, task.eps, task.m, task.rep, payload)
-                    if problem is None:
-                        completed[task.seed] = payload
-                        if cache_totals is not None and worker_cache:
-                            cache_totals.merge(worker_cache)
-                        manifest.cells_completed += 1
-                        if task.attempt > 1 or task.history:
-                            manifest.recovered += 1
-                        if journal is not None:
-                            journal.record_cell(
-                                task.seed, task.eps, task.m, task.rep, payload
-                            )
-                        new_cells += 1
-                        if (
-                            interrupt_after is not None
-                            and new_cells >= interrupt_after
-                            and len(completed) < len(cells)
-                        ):
-                            # Simulated hard kill: in-flight workers are
-                            # abandoned exactly as a real SIGINT would.
-                            raise KeyboardInterrupt
+                if slot.conn in ready:
+                    slot.last_activity = now
+                    try:
+                        while slot.process is not None and slot.conn.poll():
+                            answer(slot, slot.conn.recv(), now)
+                    except (EOFError, OSError):
+                        lost(slot, "crash: worker closed the pipe without a result")
                         continue
-                    status, payload = "corrupt", problem
-                # A failure (error / crash / timeout / corrupt): retry or quarantine.
-                history = task.history + (f"{status}: {payload}",)
-                if task.attempt <= max_retries:
-                    manifest.retries += 1
-                    pending.append(
-                        _Attempt(
-                            task.eps,
-                            task.m,
-                            task.rep,
-                            task.seed,
-                            attempt=task.attempt + 1,
-                            ready_at=time.monotonic()
-                            + decorrelated_delay(
-                                backoff,
-                                task.attempt,
-                                seed=spec.base_seed,
-                                salt=task.seed,
-                            ),
-                            history=history,
-                        )
-                    )
-                else:
-                    failure = CellFailure(
-                        epsilon=task.eps,
-                        machines=task.m,
-                        repetition=task.rep,
-                        seed=task.seed,
-                        attempts=task.attempt,
-                        kind=status,
-                        detail=str(payload),
-                        history=history,
-                    )
-                    manifest.failures.append(failure)
-                    if journal is not None:
-                        journal.record_failure(failure.as_dict())
-        manifest.cells_completed = len(completed) - manifest.cells_replayed
+                if slot.process is not None and slot.process.sentinel in ready:
+                    # Exited without answering: died before (or while) reporting.
+                    _terminate(slot.process)
+                    code = slot.process.exitcode
+                    lost(slot, f"crash: worker process died with exit code {code}")
+            # Hard timeout: the cell pays and the slot is respawned.  Soft
+            # expiry (no heartbeats): the slot pays and the cell re-queues.
+            now = time.monotonic()
+            for lease in queue.overdue(now):
+                queue.release(
+                    lease.worker,
+                    "timeout: cell exceeded its timeout; worker terminated",
+                    now=now,
+                )
+                drop(slots[lease.worker])
+            for lease in queue.expired(now):
+                queue.release(
+                    lease.worker,
+                    "expired: lease deadline passed without a heartbeat",
+                    charge_cell=False,
+                    now=now,
+                )
+                drop(slots[lease.worker], "expired: missed heartbeats")
+            settle_manifest()
+        now = time.monotonic()
+        for slot in busy_slots():
+            slot.last_activity = now  # a losing copy works until cut loose
         journal_stats(interrupted=False)
         if journal is not None:
             # Clean exit: seal the journal so the transport/merge layer can
             # verify it arrived bit-identical (repro verify / collect).
             journal.record_seal()
     except KeyboardInterrupt:
-        _terminate_all([slot.process for slot in slots])
+        settle_manifest()
         journal_stats(interrupted=True)
-        raise SweepInterrupted(partial_result()) from None
+        raise SweepInterrupted(
+            _assemble(spec, cells, completed, manifest, journal, cache_totals)
+        ) from None
     finally:
-        # Idle slots exit on EOF; whatever is still alive after one shared
-        # grace period (a slot busy when an error escaped) is terminated.
-        for slot in slots:
+        # Idle slots exit on EOF.  A slot still holding a lease (a
+        # speculative loser, or work cut off by an interrupt or an error)
+        # is SIGTERMed at once; anything alive after one shared grace
+        # period is killed.
+        for slot in busy_slots():
+            slot.process.terminate()
+        live = [slot for slot in slots if slot.process is not None]
+        for slot in live:
             slot.conn.close()
         deadline = time.monotonic() + _KILL_GRACE
-        for slot in slots:
+        for slot in live:
             slot.process.join(max(0.0, deadline - time.monotonic()))
-        _terminate_all([slot.process for slot in slots])
+        _terminate_all([slot.process for slot in live])
         if journal is not None:
             journal.close()
 
@@ -1017,7 +1067,7 @@ def _execute_resilient(
 
 
 def _split_group_payload(
-    spec: SweepSpec, task: _Attempt, payload: object
+    spec: SweepSpec, members: tuple[tuple[float, int, int, int], ...], payload: object
 ) -> tuple[list, list]:
     """Validate a group lease's payload; (good, bad) member lists.
 
@@ -1025,7 +1075,6 @@ def _split_group_payload(
     ``bad`` holds ``(member, detail)`` for the rest.  A malformed payload
     (wrong type or length) condemns every member.
     """
-    members = task.group or ()
     if not isinstance(payload, list) or len(payload) != len(members):
         size = len(payload) if isinstance(payload, list) else "n/a"
         detail = (

@@ -200,13 +200,15 @@ class ShardJournalInfo:
     sealed: bool = False
     #: corrupt records quarantined from this journal during the merge load.
     corrupt_rows: int = 0
-    #: scheduler that produced this journal (``static`` / ``elastic``),
-    #: from its stats trailers; ``None`` for pre-stamp journals.
+    #: scheduler that produced this journal (``local``; older journals say
+    #: ``static`` / ``elastic``), from its stats trailers; ``None`` for
+    #: pre-stamp journals.
     scheduler: str | None = None
     #: worker process count from the stats trailers; ``None`` if unstamped.
     workers: int | None = None
-    #: per-worker-slot wall-clock (elastic trailers only) — makes the
-    #: straggler ratio reproducible from the journal alone.
+    #: per-worker-slot wall-clock (``local`` and older ``elastic``
+    #: trailers) — makes the straggler ratio reproducible from the
+    #: journal alone.
     worker_wall_seconds: list[float] | None = None
 
     def as_dict(self) -> dict[str, Any]:
@@ -303,9 +305,9 @@ class MergeResult:
         """Max over mean per-worker wall-clock, across every stamped slot.
 
         ``None`` unless at least one journal carries per-worker timing
-        (elastic trailers).  Where :attr:`straggler_ratio` measures how
+        (lease-scheduler trailers).  Where :attr:`straggler_ratio` measures how
         unbalanced the *shard plan* was, this measures how unevenly the
-        *worker pool* finished — an elastic run keeps it near 1.0 even
+        *worker pool* finished — a leased pool keeps it near 1.0 even
         with a pathologically slow worker, because leases flow to
         whichever slot is free.
         """

@@ -17,10 +17,7 @@ Plus the seam's dispatch semantics: loud scalar fallback under
 decisions pinned identical across backends, ``MAX_KERNEL_STEPS``
 enforcement with the same :class:`~repro.engine.kernel.SimulationError`
 shape as ``run_model``, RNG seeds inside randomized grouping keys (so
-mixed-seed requests can never share a lane row), and the jit seam's loud
-numba-absent fallback plus the uncompiled
-:func:`repro.engine.jit._step_kernel` pinned bit-identical to the NumPy
-step loop.
+mixed-seed requests can never share a lane row).
 """
 
 import json
@@ -33,7 +30,6 @@ from hypothesis import strategies as st
 
 from repro.baselines.registry import run_algorithm
 from repro.core.params import clamp_epsilon, threshold_parameters
-from repro.engine import jit
 from repro.engine.backend import (
     _AUTO_MIN_GROUP,
     BackendFallbackWarning,
@@ -740,100 +736,3 @@ def test_auto_never_mixes_seed_groups():
         _assert_immediate_equal(
             run_algorithm("random-admission", inst, **dict(request.kwargs)), result
         )
-
-
-# ---------------------------------------------------------------------------
-# the jit seam: loud numba-absent fallback, uncompiled kernel bit-identity
-# ---------------------------------------------------------------------------
-
-
-def test_jit_env_flag_parsing(monkeypatch):
-    monkeypatch.delenv(jit.JIT_ENV, raising=False)
-    assert not jit.jit_requested()
-    for value in ("1", "true", "YES", " on "):
-        monkeypatch.setenv(jit.JIT_ENV, value)
-        assert jit.jit_requested(), value
-    for value in ("0", "false", "", "off"):
-        monkeypatch.setenv(jit.JIT_ENV, value)
-        assert not jit.jit_requested(), value
-
-
-def test_jit_requested_without_numba_warns_and_falls_back(monkeypatch):
-    monkeypatch.setenv(jit.JIT_ENV, "1")
-    monkeypatch.setattr(jit, "_numba_probe", False)
-    with pytest.warns(BackendFallbackWarning, match="numba is not installed"):
-        assert not jit.jit_active()
-    # The batch path still produces bit-identical results on the fallback.
-    inst = random_instance(25, 2, 0.3, seed=4)
-    scalar = run_algorithm("threshold", inst)
-    with pytest.warns(BackendFallbackWarning):
-        (batch,) = BatchBackend().run_many([SimulationRequest("threshold", inst)])
-    _assert_immediate_equal(scalar, batch)
-
-
-def test_jit_inactive_when_not_requested(monkeypatch):
-    monkeypatch.delenv(jit.JIT_ENV, raising=False)
-    assert not jit.jit_active()
-
-
-@pytest.mark.parametrize(
-    "algorithm",
-    [
-        "threshold",
-        "threshold[first-fit]",
-        "threshold[worst-fit]",
-        "greedy",
-        "greedy[least-loaded]",
-        "lee-style",
-    ],
-)
-def test_uncompiled_step_kernel_matches_numpy_path(algorithm):
-    """The jit kernel body, run as plain Python, equals the NumPy loop.
-
-    This pins the loop's bit-identity in environments without numba; the
-    CI numba leg re-runs the same comparisons compiled.
-    """
-    from repro.engine.batch import (
-        _job_arrays,
-        _lee_targets,
-        _simulate,
-        _threshold_tables,
-    )
-
-    rule = IMMEDIATE_RULES[algorithm]
-    instances = [random_instance(30, 3, 0.25, seed=s) for s in range(4)]
-    m, n = 3, 30
-    rel, proc, dl = _job_arrays(instances, n)
-    f_pad = kvec = rank_ok = targets = None
-    if rule.admission == "threshold":
-        f_pad, kvec, rank_ok = _threshold_tables(instances, m)
-    if rule.admission == "lee":
-        targets = _lee_targets(instances, m, n)
-    numpy_out = _simulate(
-        rel, proc, dl, m, rule.admission, rule.allocation,
-        f_pad=f_pad, kvec=kvec, rank_ok=rank_ok, targets=targets,
-    )
-    jit_out = jit.simulate_jit(
-        rel, proc, dl, m, rule.admission, rule.allocation,
-        f_pad=f_pad, kvec=kvec, targets=targets, kernel=jit._step_kernel,
-    )
-    for a, b in zip(numpy_out, jit_out):
-        assert np.array_equal(a, b)
-
-
-def test_uncompiled_step_kernel_matches_numpy_random_draws():
-    from repro.engine.batch import _job_arrays, _simulate
-    from repro.utils.rng import make_rng
-
-    instances = [random_instance(30, 2, 0.25, seed=s) for s in range(4)]
-    rel, proc, dl = _job_arrays(instances, 30)
-    draws = make_rng(7).random(30)
-    numpy_out = _simulate(
-        rel, proc, dl, 2, "random", "least-loaded", q=0.6, draws=draws,
-    )
-    jit_out = jit.simulate_jit(
-        rel, proc, dl, 2, "random", "least-loaded",
-        q=0.6, draws=draws, kernel=jit._step_kernel,
-    )
-    for a, b in zip(numpy_out, jit_out):
-        assert np.array_equal(a, b)

@@ -9,11 +9,13 @@ no processes, no clocks.
 """
 
 import json
+import multiprocessing as mp
 import time
 from functools import lru_cache, partial
 
 import pytest
 
+from repro.offline.cache import BracketCache
 from repro.testing.chaos import WorkerChaosPlan
 from repro.workloads.elastic import (
     DEFAULT_HEARTBEAT_INTERVAL,
@@ -22,9 +24,11 @@ from repro.workloads.elastic import (
     SpeculationMismatch,
 )
 from repro.workloads.execute import ExecutionPolicy, execute_sweep
-from repro.workloads.journal import load_journal
+from repro.workloads.journal import SweepJournal, load_journal
 from repro.workloads.random_instances import random_instance
+from repro.workloads.remote import HostSpec
 from repro.workloads.resilient import SweepInterrupted, run_cell
+from repro.workloads.sharding import merge_journals
 from repro.workloads.sweep import SweepSpec
 
 
@@ -52,7 +56,6 @@ def _serial_rows(base_seed: int) -> tuple:
 
 def _elastic(spec, **kwargs) -> "ExecutionPolicy":
     defaults = dict(
-        elastic=True,
         parallel=True,
         workers=3,
         retries=2,
@@ -146,6 +149,45 @@ class TestCellQueueUnit:
         queue.next_lease(0, now=0.0)
         assert queue.next_lease(1, now=1.0) is None
 
+    def test_failed_copy_is_not_copied_again_for_the_same_attempt(self):
+        """Two failing copies of one attempt cannot re-spawn each other."""
+        queue = CellQueue(_queue_cells(_spec())[:1], lease_timeout=1.0, timeout=5.0)
+        queue.next_lease(0, now=0.0)
+        assert queue.next_lease(1, now=1.0).speculative
+        queue.release(0, "timeout: primary", now=5.0)  # the copy runs on
+        assert queue.next_lease(0, now=5.0) is None
+        queue.release(1, "timeout: copy", now=6.0)  # now the cell pays, once
+        assert queue.retried == 1
+        retry = queue.next_lease(0, now=6.0)
+        assert retry.attempt == 2 and not retry.speculative
+        assert queue.next_lease(1, now=6.0).speculative  # a new attempt may be copied
+
+    def test_group_lease_demotes_members_with_fresh_budget(self):
+        spec = _spec()
+        cells = _queue_cells(spec)[:5]
+        queue = CellQueue(
+            cells, retries=0, group_cells=4, lease_timeout=1.0, timeout=1.0, backoff=0.5
+        )
+        lease = queue.next_lease(0, now=0.0)
+        assert lease.group == tuple(cells[:4]) and lease.hard_deadline == 4.0
+        eps, m, rep, seed = cells[0]
+        queue.complete_group(
+            0,
+            {seed: run_cell(spec, eps, m, rep, {})},
+            {cell[3]: "corrupt: injected" for cell in cells[1:4]},
+            now=1.0,
+        )
+        assert seed in queue.completed and queue.retried == 0
+        demoted = [task for task in queue.pending if task.group is None]
+        assert [task.seed for task in demoted] == [cell[3] for cell in cells[1:4]]
+        for task in demoted:
+            assert task.attempt == 1 and 1.25 <= task.ready_at < 1.5
+            assert task.history == ("group-lease corrupt: injected",)
+        # The last group is ready; the demoted cells are still backing off.
+        assert queue.next_lease(1, now=1.0).group == (cells[4],)
+        assert queue.next_lease(2, now=1.0) is None
+        assert queue.next_lease(2, now=1.5).seed == cells[1][3]
+
     def test_losing_copy_completion_is_stale_and_checked(self):
         spec = _spec()
         cells = _queue_cells(spec)[:1]
@@ -177,7 +219,8 @@ class TestElasticExecution:
     def test_journal_provenance_and_elastic_stats_trailer(self, tmp_path):
         spec = _spec()
         path = tmp_path / "elastic.jsonl"
-        _elastic(spec, journal=str(path), workers=2)
+        # Single-cell leases: a batch backend would lease groups of cells.
+        _elastic(spec, journal=str(path), workers=2, backend="scalar")
         state = load_journal(path)
         assert set(state.provenance) == set(state.completed)
         for prov in state.provenance.values():
@@ -191,7 +234,7 @@ class TestElasticExecution:
             for line in path.read_text().splitlines()
             if json.loads(line).get("kind") == "stats"
         ][-1]
-        assert stats["scheduler"] == "elastic"
+        assert stats["scheduler"] == "local"
         assert stats["workers"] == 2
         assert len(stats["worker_wall_seconds"]) == 2
         assert sum(stats["worker_cells"]) == len(state.completed)
@@ -315,6 +358,94 @@ def _sleepy_workload(m: int, eps: float, seed: int):
     return random_instance(6, m, eps, seed=seed)
 
 
+def _slow_workload(m: int, eps: float, seed: int):
+    time.sleep(0.05)
+    return random_instance(6, m, eps, seed=seed)
+
+
+def _stats_trailer(path):
+    return [
+        json.loads(line)
+        for line in path.read_text().splitlines()
+        if json.loads(line).get("kind") == "stats"
+    ][-1]
+
+
+class TestSchedulerCounters:
+    """Trailer and counter semantics of the one local scheduler."""
+
+    def test_speculative_loser_counters_and_teardown(self, tmp_path):
+        """Slot 0 sleeps 5 s per lease; slot 1 copies its cell and wins.
+
+        Primary grants count as ``leases``, the copy as ``speculated``;
+        only the winner's cache counters are merged, so a cold cache reads
+        one miss and one write per cell; and the loser still sleeping at
+        the end is SIGTERMed at once instead of waiting out a grace.
+        """
+        spec = _spec(repetitions=1, epsilons=[0.2, 0.4], machine_counts=[1])
+        path = tmp_path / "spec.jsonl"
+        start = time.monotonic()
+        result = _elastic(
+            spec,
+            journal=str(path),
+            workers=2,
+            worker_chaos=WorkerChaosPlan(slow_worker=((0, 5.0),)),
+            cache=BracketCache(tmp_path / "cache"),
+        )
+        wall = time.monotonic() - start
+        assert _rows_key(result.rows) == _rows_key(execute_sweep(spec).rows)
+        assert wall < 2.5, f"the speculative loser was not cut loose: {wall:.2f}s"
+        assert mp.active_children() == []
+        stats = _stats_trailer(path)
+        assert stats["scheduler"] == "local"
+        assert stats["leases"] == 2 and stats["speculated"] == 1
+        assert result.manifest.speculated == 1
+        cache = stats["cache"]
+        assert (cache["hits"], cache["misses"], cache["writes"]) == (0, 2, 2)
+        assert result.cache_stats == cache
+
+    def test_slow_heartbeating_group_lease_is_not_expired(self, tmp_path):
+        """A batch-backend group lease outlives its lease timeout on beats."""
+        spec = _spec(repetitions=2, workload=_slow_workload)
+        path = tmp_path / "group.jsonl"
+        result = _elastic(
+            spec,
+            journal=str(path),
+            workers=2,
+            backend="batch",
+            heartbeat_interval=0.02,
+            lease_timeout=0.1,  # the one 8-cell group lease takes ~0.4 s
+        )
+        serial = execute_sweep(spec)
+        assert _rows_key(result.rows) == _rows_key(serial.rows)
+        assert not result.manifest.worker_failures
+        assert result.manifest.retries == result.manifest.recovered == 0
+        stats = _stats_trailer(path)
+        assert stats["leases"] == 1 and stats["workers_spawned"] == 1
+        assert stats["heartbeats"] > 0
+        state = load_journal(path)
+        assert all(p["heartbeats"] > 0 for p in state.provenance.values())
+
+    @pytest.mark.parametrize("label", ["static", "elastic"])
+    def test_merge_reads_old_scheduler_trailers(self, tmp_path, label):
+        spec = _spec(repetitions=1)
+        path = tmp_path / f"{label}.jsonl"
+        journal = SweepJournal.create(path, spec)
+        for eps, m, rep in spec.cells():
+            journal.record_cell(
+                spec.cell_seed(eps, m, rep), eps, m, rep, run_cell(spec, eps, m, rep, {})
+            )
+        journal.record_stats(
+            {"scheduler": label, "workers": 2, "worker_wall_seconds": [1.0, 3.0]}
+        )
+        journal.record_seal()
+        journal.close()
+        merged = merge_journals([path])
+        assert merged.complete
+        assert merged.shards[0].scheduler == label
+        assert merged.worker_straggler_ratio == pytest.approx(1.5)
+
+
 class TestAdaptiveReps:
     def test_loose_tolerance_skips_trailing_reps(self):
         spec = _spec(repetitions=6)
@@ -363,13 +494,13 @@ class TestPolicyValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(elastic=True, heartbeat_interval=0.0),
-            dict(elastic=True, heartbeat_interval=0.5, lease_timeout=0.5),
-            dict(elastic=True, worker_max_failures=0),
-            dict(elastic=True, adaptive_reps=True, adaptive_min_reps=1),
-            dict(elastic=True, adaptive_reps=True, adaptive_rel_tol=0.0),
-            dict(adaptive_reps=True),  # requires elastic
-            dict(worker_chaos=WorkerChaosPlan()),  # requires elastic
+            dict(heartbeat_interval=0.0),
+            dict(heartbeat_interval=0.5, lease_timeout=0.5),
+            dict(worker_max_failures=0),
+            dict(adaptive_reps=True, adaptive_min_reps=1),
+            dict(adaptive_reps=True, adaptive_rel_tol=0.0),
+            dict(adaptive_reps=True, hosts=(HostSpec(name="a"),)),  # local only
+            dict(worker_chaos=WorkerChaosPlan(), hosts=(HostSpec(name="a"),)),
         ],
     )
     def test_invalid_policy_rejected(self, kwargs):

@@ -297,10 +297,10 @@ class TestPolicyValidation:
         "kwargs",
         [
             dict(host_chaos=HostChaosPlan()),  # requires hosts
-            dict(worker_chaos=object()),  # slot-level, local elastic only
+            dict(hosts=(HostSpec(name="a"),), worker_chaos=object()),  # slot-level
             dict(hosts=(HostSpec(name="a"),), host_max_failures=0),
             dict(hosts=(HostSpec(name="a"),), handshake_timeout=0.0),
-            dict(hosts=(HostSpec(name="a"),), adaptive_reps=True, elastic=True),
+            dict(hosts=(HostSpec(name="a"),), adaptive_reps=True),
         ],
     )
     def test_invalid_policy_rejected(self, kwargs):

@@ -21,6 +21,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from functools import lru_cache, partial
 
@@ -357,6 +358,45 @@ class TestFailureModes:
         assert problem is not None and "accepted_load" in problem
         assert validate_cell_rows(spec, eps, m, rep, "rows") is not None
         assert validate_cell_rows(spec, eps, m, rep, []) is not None
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_cell_that_kills_every_worker_is_quarantined(self, workers):
+        """A crash charges the cell as well as the slot, so poison ends.
+
+        Every attempt at every cell kills its worker.  The sweep runs in a
+        daemon thread with a deadline, so a scheduler that re-queues such
+        cells forever fails this test instead of hanging the suite.
+        """
+        spec = SweepSpec(
+            epsilons=[0.25, 0.5],
+            machine_counts=[1],
+            algorithms=["greedy"],
+            workload=partial(random_instance, 6),
+            repetitions=1,
+            base_seed=3,
+        )
+        plan = ChaosPlan(crash_rate=1.0, persistent_rate=1.0)
+        box = {}
+        runner = threading.Thread(
+            target=lambda: box.update(
+                result=run_sweep_resilient(
+                    spec, chaos=plan, max_workers=workers, backoff=0.01
+                )
+            ),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(timeout=60.0)
+        assert not runner.is_alive(), "a poison-crash sweep never terminated"
+        manifest = box["result"].manifest
+        assert box["result"].rows == []
+        assert sorted(f.seed for f in manifest.failures) == sorted(
+            spec.cell_seed(*cell) for cell in spec.cells()
+        )
+        for failure in manifest.failures:
+            assert failure.kind == "crash"
+            assert failure.attempts == 3  # retries + 1
+        assert mp.active_children() == []
 
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_parallel_wrapper_raises_on_failure(self):
